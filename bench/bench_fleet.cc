@@ -7,7 +7,7 @@
 // alone through CompressAll on one thread. Every fleet run is
 // checksum-verified per device against that reference; the FleetEngine
 // invariant is that ingest mode never changes any device's compressed
-// output. Pipeline counters (coalesced runs, block recycling, wakes,
+// output. Pipeline counters (coalesced runs, blocks dispatched, wakes,
 // backpressure, queue depth) are reported so regressions can be localized.
 //
 // The run FAILS (exit 1, so CI fails) if:
@@ -554,8 +554,6 @@ int Run(int argc, char** argv) {
       json.Key("counters").BeginObject();
       json.Key("coalesced_runs").Value(s.coalesced_runs);
       json.Key("blocks_dispatched").Value(s.blocks_dispatched);
-      json.Key("blocks_allocated").Value(s.blocks_allocated);
-      json.Key("blocks_recycled").Value(s.blocks_recycled);
       json.Key("worker_wakes").Value(s.worker_wakes);
       json.Key("backpressure_waits").Value(s.backpressure_waits);
       json.Key("peak_queue_depth")

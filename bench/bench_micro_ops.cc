@@ -206,7 +206,7 @@ uint64_t CompareSquaredChecksum(const std::vector<CompareCase>& cases) {
 // ---------------------------------------------------------------------------
 // push: end-to-end kernel comparison.
 // ---------------------------------------------------------------------------
-struct PushRun {
+struct PushMeasurement {
   std::string stream;
   std::string algorithm;
   const char* kernel = "";
@@ -219,13 +219,14 @@ struct PushRun {
 };
 
 template <typename Compressor>
-PushRun MeasurePush(const std::string& stream_name, const Trajectory& stream,
-                    const std::string& algorithm, BoundKernel kernel,
-                    int reps) {
+PushMeasurement MeasurePush(const std::string& stream_name,
+                            const Trajectory& stream,
+                            const std::string& algorithm, BoundKernel kernel,
+                            int reps) {
   BqsOptions options;
   options.epsilon = kEpsilon;
   options.bound_kernel = kernel;
-  PushRun run;
+  PushMeasurement run;
   run.stream = stream_name;
   run.algorithm = algorithm;
   run.kernel = kernel == BoundKernel::kFast ? "fast" : "reference";
@@ -389,7 +390,7 @@ int Run(int argc, char** argv) {
 
     json.Key("push").BeginArray();
     for (const StreamCase& sc : streams) {
-      std::vector<PushRun> runs;
+      std::vector<PushMeasurement> runs;
       runs.push_back(MeasurePush<BqsCompressor>(
           sc.name, *sc.stream, "BQS", BoundKernel::kFast, reps));
       runs.push_back(MeasurePush<BqsCompressor>(
@@ -400,8 +401,8 @@ int Run(int argc, char** argv) {
           sc.name, *sc.stream, "FBQS", BoundKernel::kReference, reps));
 
       for (std::size_t i = 0; i < runs.size(); i += 2) {
-        const PushRun& fast = runs[i];
-        const PushRun& reference = runs[i + 1];
+        const PushMeasurement& fast = runs[i];
+        const PushMeasurement& reference = runs[i + 1];
         const bool match = fast.checksum == reference.checksum;
         all_match = all_match && match;
         // The conclusive-path criterion: each counted fallback re-runs the
@@ -424,7 +425,7 @@ int Run(int argc, char** argv) {
             static_cast<unsigned long long>(reference.op_delta.sqrt_calls),
             fast.best_ms > 0.0 ? reference.best_ms / fast.best_ms : 0.0,
             match ? "byte-identical" : "DIVERGED");
-        for (const PushRun* run : {&fast, &reference}) {
+        for (const PushMeasurement* run : {&fast, &reference}) {
           json.BeginObject();
           json.Key("stream").Value(run->stream);
           json.Key("algorithm").Value(run->algorithm);

@@ -7,7 +7,8 @@
 // BQS degrades to O(n^2) (Table I). The matrix covers both bound kernels
 // and the resolver family:
 //   BQS            — fast kernel + adaptive resolver (the defaults)
-//   BQS_hull       — fast kernel + pure Melkman-hull resolver
+//   BQS_hull       — fast kernel + adaptive resolver at threshold 1, so
+//                    the Melkman hull owns every segment
 //   BQS_bruteforce — reference kernel + whole-buffer rescan: the seed
 //                    implementation bit-for-bit (transcendental bound
 //                    path, O(n) resolves), kept as the baseline row the
@@ -174,8 +175,9 @@ int Run(int argc, char** argv) {
 
     BqsOptions fast_options;  // the defaults: fast kernel + adaptive.
     fast_options.epsilon = kEpsilon;
+    // Threshold 1: the hull owns every segment from its first point.
     BqsOptions hull_options = fast_options;
-    hull_options.exact_resolver = ExactResolver::kHull;
+    hull_options.adaptive_resolver_threshold = 1;
     // The seed implementation bit-for-bit: transcendental bound kernel +
     // whole-buffer rescans. Every other row is checksummed against it.
     BqsOptions seed_options = fast_options;

@@ -11,7 +11,7 @@
 //    oracle stays exact.
 //
 //  - overload: a kShed* policy plus byte-driven fault injection
-//    (kRingFull / kArenaExhausted / kMidBatchEvict), optional memory
+//    (kRingFull / kMidBatchEvict), optional memory
 //    budget with an eps-coarsening ladder and optional idle timeout.
 //    Output legitimately diverges from the sequential reference here, so
 //    the oracle is the accounting contract instead: after FinishAll,
@@ -108,10 +108,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
                    static_cast<uint64_t>(in.IntIn(0, 64)));
     }
     if (in.Bool()) {
-      injector.Arm(bqs::FaultSite::kArenaExhausted, in.Range(0.0, 1.0),
-                   static_cast<uint64_t>(in.IntIn(0, 64)));
-    }
-    if (in.Bool()) {
       injector.Arm(bqs::FaultSite::kMidBatchEvict, in.Range(0.0, 1.0),
                    static_cast<uint64_t>(in.IntIn(0, 16)));
     }
@@ -178,7 +174,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
     const uint64_t accounted =
         stats.records_ingested + stats.records_shed + stats.records_dropped;
     const uint64_t by_reason = stats.shed_ring_full + stats.shed_latency +
-                               stats.shed_rate_limited + stats.shed_arena;
+                               stats.shed_rate_limited;
     if (accounted != fed || by_reason != stats.records_shed) {
       std::fprintf(stderr,
                    "fleet accounting mismatch: fed=%llu ingested=%llu "

@@ -177,14 +177,15 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   options.paper_trivial_include = in.Bool();
   options.bounds_mode =
       in.Bool() ? bqs::BoundsMode::kPaperEq8 : bqs::BoundsMode::kSound;
-  switch (in.IntIn(0, 2)) {
-    case 0: options.exact_resolver = bqs::ExactResolver::kAdaptive; break;
-    case 1: options.exact_resolver = bqs::ExactResolver::kHull; break;
-    default: options.exact_resolver = bqs::ExactResolver::kBruteForce; break;
-  }
+  // Resolver 0: adaptive; 1: adaptive at threshold 1, i.e. the hull owns
+  // every segment from its first buffered point; 2: brute force.
+  const int resolver = in.IntIn(0, 2);
+  options.exact_resolver = resolver == 2 ? bqs::ExactResolver::kBruteForce
+                                         : bqs::ExactResolver::kAdaptive;
   // Low thresholds on purpose: force the adaptive resolver across its
   // brute-force -> hull migration inside short fuzz streams.
   options.adaptive_resolver_threshold = in.IntIn(2, 64);
+  if (resolver == 1) options.adaptive_resolver_threshold = 1;
   const bool use_fbqs = in.Bool();
 
   std::vector<bqs::TrackPoint> points;

@@ -1,8 +1,8 @@
 // Deterministic fault injection for the fleet service layer and the
 // key-point WAL.
 //
-// Overload and failure paths (full rings, exhausted arenas, stalled
-// workers, mid-batch evictions, torn writes, failed fsyncs) are nearly
+// Overload and failure paths (full rings, stalled workers, mid-batch
+// evictions, torn writes, failed fsyncs) are nearly
 // impossible to hit on cue from the outside: they depend on scheduling,
 // machine speed, queue depths and the kernel's page cache. A
 // FaultInjector makes them reproducible: tests arm a site with a firing
@@ -21,7 +21,7 @@
 // from the same (seed, site, call index) triple).
 //
 // The hooks are compiled into FleetEngine and KeyPointWal unconditionally
-// — a null-check per seal/acquire/write, nothing more — but the type is a
+// — a null-check per seal/dispatch/write, nothing more — but the type is a
 // test harness, not a production feature: the repo lint's
 // fault-injection-containment rule keeps any other src/ code from
 // reaching for it.
@@ -31,7 +31,9 @@
 // threads and is lock-free. The worker-stall site is special: when it
 // fires, the worker parks in WaitStallReleased() until the test calls
 // ReleaseStalls() — release before Flush()/destruction or the drain will
-// (by design) never finish.
+// (by design) never finish. WaitStallReached() is the test's rendezvous
+// with that site: it returns once a worker has actually parked there, so
+// a test never has to guess how far the worker thread got.
 #ifndef BQS_COMMON_FAULT_INJECTOR_H_
 #define BQS_COMMON_FAULT_INJECTOR_H_
 
@@ -48,7 +50,6 @@ namespace bqs {
 enum class FaultSite : uint8_t {
   kRingFull,        ///< Seal sees a (synthetically) full shard ring.
   kWorkerStall,     ///< Worker parks before processing its next command.
-  kArenaExhausted,  ///< Producer's block Acquire is denied.
   kMidBatchEvict,   ///< Session force-evicted right after a dispatched run.
 
   // --- key-point WAL sites (storage/keypoint_wal.cc) ---------------------
@@ -82,7 +83,7 @@ enum class FaultSite : uint8_t {
   /// degrades to WAL-only mode (degrade-and-continue).
   kEnospc,
 };
-inline constexpr std::size_t kFaultSiteCount = 10;
+inline constexpr std::size_t kFaultSiteCount = 9;
 
 class FaultInjector {
  public:
@@ -129,14 +130,25 @@ class FaultInjector {
     return f < s.max_fires;
   }
 
-  /// Worker-side gate for kWorkerStall: parks until ReleaseStalls(). The
-  /// released flag is an atomic read by the wait predicate (the same
-  /// pattern as the engine's idle protocol) with the store made under the
-  /// mutex, closing the predicate-to-block window.
+  /// Worker-side gate for kWorkerStall: signals WaitStallReached(), then
+  /// parks until ReleaseStalls(). The flags are atomics read by the wait
+  /// predicates (the same pattern as the engine's idle protocol) with the
+  /// stores made under the mutex, closing the predicate-to-block window.
   void WaitStallReleased() {
     MutexLock lock(stall_mu_);
+    stall_reached_.store(true, std::memory_order_seq_cst);
+    stall_cv_.notify_all();
     stall_cv_.wait(lock.native(), [&] {
       return stalls_released_.load(std::memory_order_relaxed);
+    });
+  }
+
+  /// Test-side rendezvous: blocks until a worker has reached the
+  /// kWorkerStall gate (whether or not it was released since).
+  void WaitStallReached() {
+    MutexLock lock(stall_mu_);
+    stall_cv_.wait(lock.native(), [&] {
+      return stall_reached_.load(std::memory_order_relaxed);
     });
   }
 
@@ -196,6 +208,7 @@ class FaultInjector {
   Mutex stall_mu_;
   std::condition_variable stall_cv_;
   std::atomic<bool> stalls_released_{false};
+  std::atomic<bool> stall_reached_{false};
 };
 
 }  // namespace bqs

@@ -23,9 +23,9 @@ struct DecisionStats {
                                       ///< d_lb <= epsilon < d_ub.
   uint64_t segments = 0;              ///< Segments closed (splits).
   uint64_t exact_points_scanned = 0;  ///< Points examined across all exact
-                                      ///< resolves: hull vertices with
-                                      ///< ExactResolver::kHull, whole-buffer
-                                      ///< points with kBruteForce. The
+                                      ///< resolves: hull vertices once the
+                                      ///< hull owns the segment, whole-
+                                      ///< buffer points before. The
                                       ///< O(n^2)-vs-O(nh) story in one number.
   uint64_t peak_exact_state = 0;      ///< Largest per-segment exact-resolve
                                       ///< structure (hull vertices or

@@ -25,13 +25,6 @@ class FbqsCompressor final : public StreamCompressor {
                  std::vector<KeyPoint>* out) override {
     engine_.PushBatch(points, out);
   }
-  void PushRun(std::span<const FleetRecord> run,
-               std::vector<TrackPoint>& /*gather*/,
-               std::vector<KeyPoint>* out) override {
-    // Fleet span runs enter the batch (and vector) kernel through a
-    // strided view of the records — no gather copy.
-    engine_.PushRecords(run, out);
-  }
   void Finish(std::vector<KeyPoint>* out) override { engine_.Finish(out); }
   void Reset() override { engine_.Reset(); }
   std::string_view name() const override { return "FBQS"; }

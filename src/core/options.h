@@ -24,18 +24,16 @@ enum class BoundsMode {
 
 /// How BQS resolves the inconclusive case (d_lb <= epsilon < d_ub) exactly.
 enum class ExactResolver {
-  /// Brute-force below adaptive_resolver_threshold buffered points, hull
-  /// above: short segments pay the flat rescan (which beats hull
-  /// maintenance overhead on well-behaved streams, where segments rarely
-  /// grow long), adversarial segments get the O(h) hull. Byte-identical
-  /// to both pure modes because the two resolvers agree exactly (the
-  /// deviation maximum is attained at a hull vertex). Default.
+  /// Brute-force below adaptive_resolver_threshold buffered points, then
+  /// the vertices of an incrementally-maintained convex hull of the
+  /// segment (Melkman; O(h) per resolve, O(h) space, h << n): short
+  /// segments pay the flat rescan (which beats hull maintenance overhead
+  /// on well-behaved streams, where segments rarely grow long),
+  /// adversarial segments get the O(h) hull. A threshold of 1 keeps every
+  /// segment in the hull from its first buffered point. Byte-identical to
+  /// kBruteForce at any threshold because the two resolvers agree exactly
+  /// (the deviation maximum is attained at a hull vertex). Default.
   kAdaptive,
-  /// Scan the vertices of an incrementally-maintained convex hull of the
-  /// segment buffer (Melkman). O(h) per resolve, O(h) space, h << n; the
-  /// maximum deviation from a chord is attained at a hull vertex, so the
-  /// result matches the full scan.
-  kHull,
   /// The paper's literal Table I behaviour: rescan the whole segment
   /// buffer. O(n) per resolve, O(n) space — worst-case O(n^2) streams.
   /// Kept as the reference implementation the hull path is checksummed

@@ -134,17 +134,9 @@ void SegmentEngine::Push(const TrackPoint& pt, std::vector<KeyPoint>* out) {
   }
 }
 
-void SegmentEngine::PushBatch(std::span<const TrackPoint> pts,
+void SegmentEngine::PushBatch(std::span<const TrackPoint> points,
                               std::vector<KeyPoint>* out) {
-  PushView(PointView(pts), out);
-}
-
-void SegmentEngine::PushRecords(std::span<const FleetRecord> run,
-                                std::vector<KeyPoint>* out) {
-  PushView(PointView(run), out);
-}
-
-void SegmentEngine::PushView(PointView pts, std::vector<KeyPoint>* out) {
+  PointView pts(points);
   if (pts.empty()) return;
   if (!have_first_) {
     have_first_ = true;
@@ -785,9 +777,9 @@ void SegmentEngine::AddExactPoint(const TrackPoint& pt) {
       buffer_.size() >=
           static_cast<std::size_t>(options_.adaptive_resolver_threshold)) {
     // Migration point: hand the segment to the hull. Feeding the buffer in
-    // arrival order makes the hull state identical to a kHull run that saw
-    // the same stream, and the resolvers agree exactly on the deviation
-    // maximum, so the switch never changes a decision.
+    // arrival order makes the hull state identical to one fed the same
+    // stream from the segment start, and the resolvers agree exactly on the
+    // deviation maximum, so the switch never changes a decision.
     for (const TrackPoint& p : buffer_) AddHullPoint(p.pos);
     buffer_.clear();
     hull_active_ = true;
@@ -823,8 +815,8 @@ void SegmentEngine::StartSegment(const TrackPoint& pt, uint64_t index) {
   hull_.Clear();
   hull_pending_.clear();
   buffer_.clear();
-  hull_active_ = options_.exact_resolver == ExactResolver::kHull;
-  if (exact_mode_ && !hull_active_) {
+  hull_active_ = false;
+  if (exact_mode_) {
     // The warm-up points land here before any split can happen; reserving
     // them up front avoids the first few reallocations of every segment.
     buffer_.reserve(static_cast<std::size_t>(options_.rotation_warmup));

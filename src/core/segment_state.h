@@ -16,10 +16,10 @@
 //
 // BQS's exact resolve is driven by ExactResolver: kAdaptive (default)
 // rescans the flat segment buffer while it is short and migrates to an
-// incrementally-maintained Melkman hull at adaptive_resolver_threshold
-// points; kHull always maintains the hull (O(h) resolves, O(h) space);
+// incrementally-maintained Melkman hull (O(h) resolves, O(h) space) at
+// adaptive_resolver_threshold points — at once when the threshold is 1;
 // kBruteForce keeps the paper's O(n)-per-resolve whole-buffer rescan as the
-// reference implementation the other paths are verified against.
+// reference implementation the hull path is verified against.
 #ifndef BQS_CORE_SEGMENT_STATE_H_
 #define BQS_CORE_SEGMENT_STATE_H_
 
@@ -42,11 +42,8 @@
 namespace bqs {
 namespace internal {
 
-/// Borrowed view of track points embedded in a larger record array at a
-/// fixed byte stride (TrackPoint spans, or the `point` member of
-/// FleetRecord runs). This is what lets the fleet span-dispatch path hand
-/// per-device runs straight to the batch kernel without gathering them
-/// into a contiguous vector first: the SoA pre-rotation kernel reads the
+/// Borrowed view of track points at a fixed byte stride, in the shape the
+/// SIMD kernels take (common/simd.h): the SoA pre-rotation kernel reads the
 /// two leading coordinates through the stride directly.
 class PointView {
  public:
@@ -54,11 +51,6 @@ class PointView {
       : base_(reinterpret_cast<const unsigned char*>(pts.data())),
         stride_(sizeof(TrackPoint)),
         size_(pts.size()) {}
-  explicit PointView(std::span<const FleetRecord> run)
-      : base_(reinterpret_cast<const unsigned char*>(run.data()) +
-              offsetof(FleetRecord, point)),
-        stride_(sizeof(FleetRecord)),
-        size_(run.size()) {}
 
   const TrackPoint& operator[](std::size_t i) const {
     return *reinterpret_cast<const TrackPoint*>(base_ + i * stride_);
@@ -108,11 +100,6 @@ class SegmentEngine {
   /// precomputed values. This is the hot path CompressAll and the benches
   /// use.
   void PushBatch(std::span<const TrackPoint> pts, std::vector<KeyPoint>* out);
-  /// PushBatch over a fleet span run: the per-device records enter the
-  /// batch (and vector) kernel directly through a strided view — no
-  /// gather copy. Decisions are identical to pushing each record's point.
-  void PushRecords(std::span<const FleetRecord> run,
-                   std::vector<KeyPoint>* out);
   void Finish(std::vector<KeyPoint>* out);
 
   const DecisionStats& stats() const { return stats_; }
@@ -184,8 +171,6 @@ class SegmentEngine {
   template <bool kProbed>
   void ProcessPrepared(const TrackPoint& pt, uint64_t index, Vec2 rel_rot,
                        double rel_norm_sq, std::vector<KeyPoint>* out);
-  /// Shared PushBatch/PushRecords body over the strided view.
-  void PushView(PointView pts, std::vector<KeyPoint>* out);
   template <bool kProbed>
   void RunBatch(PointView pts, std::vector<KeyPoint>* out);
   template <bool kProbed>
@@ -293,7 +278,7 @@ class SegmentEngine {
   /// only: FBQS keeps no exact state of any kind (O(1) space).
   MelkmanHull hull_;
   /// True when the hull is the live exact structure for this segment:
-  /// always under kHull, past the migration point under kAdaptive.
+  /// past kAdaptive's migration point.
   bool hull_active_ = false;
   /// Points staged for the hull but not yet folded in (lazy maintenance).
   static constexpr std::size_t kHullDrainBatch = 256;

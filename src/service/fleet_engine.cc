@@ -62,8 +62,8 @@ FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
   shedding_ = !inline_ && options_.overload.policy != OverloadPolicy::kBlock;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        sink_, options_.block_capacity, options_.max_pending_blocks));
+    shards_.push_back(
+        std::make_unique<Shard>(sink_, options_.max_pending_blocks));
   }
   if (!inline_) {
     for (auto& shard : shards_) {
@@ -86,20 +86,27 @@ std::size_t FleetEngine::ShardOf(DeviceId device) const {
   return static_cast<std::size_t>(MixDeviceId(device) % shards_.size());
 }
 
-void FleetEngine::Enqueue(Shard& shard, ShardCommand cmd) {
-  if (!shard.ring.Push(cmd)) return;  // stopped (destructor teardown only)
+bool FleetEngine::Submit(Shard& shard, ShardCommand::Kind kind,
+                         DeviceId device,
+                         SpscRing<ShardCommand>::Deadline deadline) {
+  ShardCommand& cmd = shard.ring.back();
+  cmd.kind = kind;
+  cmd.device = device;
+  if (inline_) {
+    AssumeWorker(shard);  // inline mode: the caller is the worker
+    Execute(shard, cmd);
+    return true;
+  }
+  if (!shard.ring.Publish(deadline)) return false;
   ++shard.enqueued;
   shard.peak_depth = std::max(shard.peak_depth, shard.ring.size());
+  return true;
 }
 
 void FleetEngine::Seal(Shard& shard) {
-  if (shard.filling == nullptr || shard.filling->empty()) return;
-  ShardCommand cmd;
-  cmd.kind = ShardCommand::Kind::kBlock;
-  cmd.block = shard.filling;
-  shard.filling = nullptr;
+  if (shard.ring.back().empty()) return;
   ++shard.blocks_dispatched;
-  Enqueue(shard, cmd);
+  Submit(shard, ShardCommand::Kind::kBlock);
 }
 
 void FleetEngine::SealAll() {
@@ -131,37 +138,21 @@ void FleetEngine::RouteSharded(std::span<const FleetRecord> records) {
   // One deadline per IngestBatch: every seal this batch triggers shares
   // it, so the caller's worst-case latency is one budget, not one per
   // seal. Taken lazily — the clock read is paid only by shed configs.
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = false;
+  SpscRing<ShardCommand>::Deadline deadline;
   if (shedding_ && options_.overload.latency_budget_ms > 0.0) {
     deadline = std::chrono::steady_clock::now() +
                std::chrono::microseconds(static_cast<int64_t>(
                    options_.overload.latency_budget_ms * 1000.0));
-    has_deadline = true;
   }
   batch_shed_ = false;
   for (const FleetRecord& record : records) {
     Shard& shard = *shards_[ShardOf(record.device)];
-    if (shard.filling == nullptr) {
-      if (injector != nullptr &&
-          injector->ShouldFire(FaultSite::kArenaExhausted)) {
-        ++shard.shed.faults;
-        if (shedding_) {
-          // Denied a block: the triggering record is shed, accounted as
-          // arena exhaustion. Under kBlock the fault is counted only (a
-          // real allocator would block or die, neither useful in a test).
-          ++shard.shed.records;
-          ++shard.shed.arena;
-          batch_shed_ = true;
-          continue;
-        }
-      }
-      shard.filling = shard.arena.Acquire();
-    }
-    shard.filling->Append(record.device, record.point);
-    if (shard.filling->size() >= cap) {
+    RecordBlock& block = shard.ring.back();
+    if (block.empty()) block.points.reserve(cap);  // grows once per slot
+    block.Append(record.device, record.point);
+    if (block.size() >= cap) {
       if (shedding_) {
-        SealForIngest(shard, deadline, has_deadline);
+        SealForIngest(shard, deadline);
       } else {
         if (injector != nullptr &&
             injector->ShouldFire(FaultSite::kRingFull)) {
@@ -174,11 +165,10 @@ void FleetEngine::RouteSharded(std::span<const FleetRecord> records) {
   if (batch_shed_) ++shed_batches_;
 }
 
-void FleetEngine::SealForIngest(
-    Shard& shard, std::chrono::steady_clock::time_point deadline,
-    bool has_deadline) {
-  if (shard.filling == nullptr || shard.filling->empty()) return;
-  RecordBlock* const block = shard.filling;
+void FleetEngine::SealForIngest(Shard& shard,
+                                SpscRing<ShardCommand>::Deadline deadline) {
+  ShardCommand& block = shard.ring.back();
+  if (block.empty()) return;
   // A fired kRingFull fault makes the ring look full without waiting for
   // the worker to actually fall behind — the deterministic trigger the
   // shed tests replay from a seed.
@@ -189,19 +179,13 @@ void FleetEngine::SealForIngest(
       synthetic_full = true;
     }
   }
-  bool pushed = false;
-  if (!synthetic_full) {
-    ShardCommand cmd;
-    cmd.kind = ShardCommand::Kind::kBlock;
-    cmd.block = block;
-    pushed = has_deadline ? shard.ring.PushUntil(cmd, deadline)
-                          : shard.ring.TryPush(cmd);
-  }
-  if (pushed) {
-    shard.filling = nullptr;
+  // No latency budget: an already-expired deadline makes the publish a
+  // non-blocking attempt.
+  if (!synthetic_full &&
+      Submit(shard, ShardCommand::Kind::kBlock, 0,
+             deadline ? deadline
+                      : std::chrono::steady_clock::time_point::min())) {
     ++shard.blocks_dispatched;
-    ++shard.enqueued;
-    shard.peak_depth = std::max(shard.peak_depth, shard.ring.size());
     return;
   }
   if (shard.ring.stopped()) return;  // destructor teardown; keep the block
@@ -213,24 +197,23 @@ void FleetEngine::SealForIngest(
   // block shed whole, like kShedNewest.
   if (options_.overload.policy == OverloadPolicy::kShedByDevice &&
       options_.overload.device_rate_per_second > 0.0) {
-    if (CompactByDevice(shard)) {
+    if (CompactByDevice(shard, block)) {
       batch_shed_ = true;
-      return;  // survivors stay as shard.filling
+      return;  // survivors stay in the tail slot
     }
   }
-  const uint64_t count = static_cast<uint64_t>(block->size());
+  const uint64_t count = static_cast<uint64_t>(block.size());
   shard.shed.records += count;
-  if (has_deadline) {
+  if (deadline) {
     shard.shed.latency += count;
   } else {
     shard.shed.ring_full += count;
   }
   batch_shed_ = true;
-  block->Clear();  // stays acquired as shard.filling, capacity reused
+  block.Clear();  // the tail slot refills in place, capacity reused
 }
 
-bool FleetEngine::CompactByDevice(Shard& shard) {
-  RecordBlock& block = *shard.filling;
+bool FleetEngine::CompactByDevice(Shard& shard, RecordBlock& block) {
   const double rate = options_.overload.device_rate_per_second;
   double burst = options_.overload.device_burst;
   if (burst <= 0.0) burst = std::max(rate * 2.0, 1.0);
@@ -272,36 +255,7 @@ bool FleetEngine::CompactByDevice(Shard& shard) {
 
 void FleetEngine::InlineDispatch(std::span<const FleetRecord> records) {
   Shard& shard = *shards_[0];
-  // Inline mode: no worker thread exists, so the caller holds both sides.
-  AssumeProducer(shard);
-  AssumeWorker(shard);
-
-  // Staging-free fast path: a batch that is one single-device run (the
-  // per-device upload shape) dispatches from the caller's buffer through
-  // the PushRunTo span hook — no grouping, no blocks, just the one
-  // strided gather into a reused scratch that any dispatch pays. Nothing
-  // is ever pending here: inline mode flushes before returning, so the
-  // grouped state is empty at every InlineDispatch entry.
-  const DeviceId first_device = records.front().device;
-  {
-    std::size_t j = 1;
-    while (j < records.size() && records[j].device == first_device) ++j;
-    if (j == records.size()) {
-      Session& session = SessionFor(shard, first_device);
-      shard.sink.set_device(first_device);
-      shard.sink.set_stage(
-          options_.wal != nullptr ? &session.staged : nullptr);
-      session.compressor->PushRunTo(records, shard.gather, shard.sink);
-      ++shard.counters.coalesced_runs;
-      shard.counters.records_ingested += records.size();
-      shard.counters.max_device_backlog =
-          std::max(shard.counters.max_device_backlog, records.size());
-      AfterRun(shard, session, first_device, records.back().point.t);
-      MaybeInjectEvict(shard, first_device);
-      if (options_.idle_timeout_seconds > 0.0) CloseIdleSessions(shard);
-      return;
-    }
-  }
+  AssumeWorker(shard);  // inline mode: no worker thread exists
 
   // Grouped routing: append each maximal same-device run to the device's
   // window group (DeviceSlotMap lookup once per run, not per record), so a
@@ -343,43 +297,18 @@ void FleetEngine::Ingest(DeviceId device, const TrackPoint& pt) {
 void FleetEngine::FinishDevice(DeviceId device) {
   if (!factory_.streaming()) return;  // no sessions can exist
   Shard& shard = *shards_[ShardOf(device)];
-  if (inline_) {
-    AssumeWorker(shard);  // inline mode: the caller is the worker
-    if (shard.sessions.contains(device)) {
-      CloseSession(shard, device, SessionEndReason::kFinished);
-    }
-    return;
-  }
   AssumeProducer(shard);  // single-producer API contract
   // Pending records for the device must compress before the finish does.
   Seal(shard);
-  ShardCommand cmd;
-  cmd.kind = ShardCommand::Kind::kFinishDevice;
-  cmd.device = device;
-  Enqueue(shard, cmd);
+  Submit(shard, ShardCommand::Kind::kFinishDevice, device);
 }
 
 void FleetEngine::FinishAll() {
   if (!factory_.streaming()) return;
   SealAll();
-  if (inline_) {
-    Shard& shard = *shards_[0];
-    AssumeWorker(shard);  // inline mode: the caller is the worker
-    shard.device_scratch.clear();
-    for (const auto& [device, session] : shard.sessions) {
-      (void)session;
-      shard.device_scratch.push_back(device);
-    }
-    for (const DeviceId device : shard.device_scratch) {
-      CloseSession(shard, device, SessionEndReason::kFinished);
-    }
-    return;
-  }
   for (auto& shard : shards_) {
     AssumeProducer(*shard);  // single-producer API contract
-    ShardCommand cmd;
-    cmd.kind = ShardCommand::Kind::kFinishAll;
-    Enqueue(*shard, cmd);
+    Submit(*shard, ShardCommand::Kind::kFinishAll);
   }
   Flush();
 }
@@ -412,7 +341,7 @@ FleetStats FleetEngine::Stats() {
     WaitIdle(shard);        // grants shard.worker_role (idle protocol)
     // The shard is drained: the seq_cst completed==enqueued read makes the
     // worker's writes visible and — with the single-producer API keeping
-    // new work out — exclusive to this thread until the next Enqueue.
+    // new work out — exclusive to this thread until the next Submit.
     if (!eager_accounting_) {
       // Lazy accounting: the run fast path skipped StateBytes entirely, so
       // compute the live footprint here, where it is actually asked for.
@@ -436,8 +365,6 @@ FleetStats FleetEngine::Stats() {
     total.sessions_recycled += c.sessions_recycled;
     total.coalesced_runs += c.coalesced_runs;
     total.blocks_dispatched += shard.blocks_dispatched;
-    total.blocks_allocated += shard.arena.allocated();
-    total.blocks_recycled += shard.arena.recycled();
     total.worker_wakes += shard.ring.consumer_waits();
     total.backpressure_waits += shard.ring.producer_waits();
     total.peak_queue_depth = std::max(total.peak_queue_depth,
@@ -450,7 +377,6 @@ FleetStats FleetEngine::Stats() {
     total.shed_ring_full += shard.shed.ring_full;
     total.shed_latency += shard.shed.latency;
     total.shed_rate_limited += shard.shed.rate_limited;
-    total.shed_arena += shard.shed.arena;
     total.sessions_degraded += c.sessions_degraded;
     total.sessions_recovered += c.sessions_recovered;
     total.wal_checkpoints += c.wal_checkpoints;
@@ -520,8 +446,7 @@ void FleetEngine::WorkerLoop(Shard& shard) {
   // This thread IS the shard's worker for the engine's whole lifetime.
   AssumeWorker(shard);
   FaultInjector* const injector = options_.fault_injector;
-  ShardCommand cmd;
-  while (shard.ring.Pop(cmd)) {
+  while (ShardCommand* cmd = shard.ring.Pop()) {
     if (injector != nullptr &&
         injector->ShouldFire(FaultSite::kWorkerStall)) {
       // The deterministic worker-outage: park until the test releases the
@@ -530,32 +455,36 @@ void FleetEngine::WorkerLoop(Shard& shard) {
       ++shard.counters.faults_injected;
       injector->WaitStallReleased();
     }
-    switch (cmd.kind) {
-      case ShardCommand::Kind::kBlock:
-        ProcessBlock(shard, *cmd.block);
-        shard.arena.Release(cmd.block);
-        break;
-      case ShardCommand::Kind::kFinishDevice:
-        if (shard.sessions.contains(cmd.device)) {
-          CloseSession(shard, cmd.device, SessionEndReason::kFinished);
-        }
-        break;
-      case ShardCommand::Kind::kFinishAll:
-        shard.device_scratch.clear();
-        for (const auto& [device, session] : shard.sessions) {
-          (void)session;
-          shard.device_scratch.push_back(device);
-        }
-        for (const DeviceId device : shard.device_scratch) {
-          CloseSession(shard, device, SessionEndReason::kFinished);
-        }
-        break;
-    }
+    Execute(shard, *cmd);
+    cmd->Clear();  // the slot's next Pop hands it back to the producer
     shard.completed.fetch_add(1, std::memory_order_seq_cst);
     if (shard.caller_waiting.load(std::memory_order_seq_cst)) {
       MutexLock lock(shard.idle_mu);
       shard.cv_idle.notify_all();
     }
+  }
+}
+
+void FleetEngine::Execute(Shard& shard, const ShardCommand& cmd) {
+  switch (cmd.kind) {
+    case ShardCommand::Kind::kBlock:
+      ProcessBlock(shard, cmd);
+      break;
+    case ShardCommand::Kind::kFinishDevice:
+      if (shard.sessions.contains(cmd.device)) {
+        CloseSession(shard, cmd.device, SessionEndReason::kFinished);
+      }
+      break;
+    case ShardCommand::Kind::kFinishAll:
+      shard.device_scratch.clear();
+      for (const auto& [device, session] : shard.sessions) {
+        (void)session;
+        shard.device_scratch.push_back(device);
+      }
+      for (const DeviceId device : shard.device_scratch) {
+        CloseSession(shard, device, SessionEndReason::kFinished);
+      }
+      break;
   }
 }
 

@@ -14,15 +14,17 @@
 //
 //   IngestBatch(records)
 //        │  router: one pass, coalescing consecutive same-device records
-//        │  into DeviceRuns while writing points into pooled RecordBlocks
+//        │  into DeviceRuns while writing points into the RecordBlock of
+//        │  the shard ring's unpublished tail slot
 //        ▼
-//   RecordBlock (arena-recycled; the single copy of the pipeline)
-//        │  bounded SPSC ring per shard, edge-triggered condvar wakes,
-//        │  backpressure when max_pending_blocks behind
+//   bounded SPSC ring per shard whose slots own their blocks (the single
+//   copy of the pipeline); edge-triggered condvar wakes, backpressure
+//   when max_pending_blocks behind
 //        ▼
-//   shard worker: for each run, one PushBatchTo straight from block
-//   memory into the compressor's SoA fast path — no per-record replay,
-//   no second copy, no steady-state allocation.
+//   shard worker: dispatches the head slot's block in place — for each
+//   device, one PushBatchTo into the compressor's SoA fast path — then
+//   clears it; the slot comes round again with its capacity intact, so
+//   steady state allocates nothing.
 //
 // Inline mode (the single-shard shortcut): num_shards <= 1 bypasses
 // threads and queues entirely and compresses on the caller thread inside
@@ -31,13 +33,11 @@
 // shard IS the inline case. The inline router group-coalesces a window of
 // records (window size = block_capacity) per device through a
 // DeviceSlotMap, so a device interleaved into hundreds of short bursts
-// still reaches the compressor as a handful of PushBatch dispatches; a
-// batch that is one single-device run skips the grouping machinery and
-// dispatches from the caller's buffer via PushRunTo (paying only the one
-// strided gather into reused scratch that any dispatch pays). That is the
-// embedded/single-core deployment shape; everything else about the engine
-// (sessions, budgets, stats, sinks) behaves identically. Worker threads
-// start at num_shards >= 2.
+// still reaches the compressor as a handful of PushBatch dispatches. That
+// is the embedded/single-core deployment shape; everything else about the
+// engine (sessions, budgets, stats, sinks) behaves identically, and
+// FinishDevice/FinishAll run through the same command executor the worker
+// uses. Worker threads start at num_shards >= 2.
 //
 // Sharding: the session table is split across N worker threads. Each shard
 // owns its sessions outright (no shared compressor state), so throughput
@@ -67,8 +67,8 @@
 // capabilities:
 //
 //  - `producer_role`: the single API-caller thread. Guards the routing
-//    state (partial block, enqueue counters) and is required by the ring
-//    push / arena acquire side.
+//    state (enqueue and shed counters) and is required by the ring's
+//    producer side, which owns the partial block in the tail slot.
 //  - `worker_role`: the shard's dispatching thread. Guards the session
 //    table, compressor pool, LRU, grouped-dispatch state and counters.
 //
@@ -84,12 +84,12 @@
 #define BQS_SERVICE_FLEET_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -174,14 +174,15 @@ struct FleetEngineOptions {
   /// finalized with SessionEndReason::kIdle at block boundaries. 0 = never.
   double idle_timeout_seconds = 0.0;
 
-  /// Records per pooled routing block — the granularity of producer-to-
-  /// worker handoff and of the arena's recycling; in inline mode, the
-  /// grouped router's window size. Clamped to [16, 2^20].
+  /// Records per routing block — the granularity of producer-to-worker
+  /// handoff; in inline mode, the grouped router's window size. Clamped to
+  /// [16, 2^20].
   std::size_t block_capacity = 4096;
 
   /// Per-shard ingest ring depth, in blocks; IngestBatch blocks
   /// (backpressure) when the target shard is this many sealed blocks
-  /// behind. Clamped to >= 1. Unused in inline mode.
+  /// behind the one its worker is processing. Clamped to >= 1. Unused in
+  /// inline mode.
   std::size_t max_pending_blocks = 64;
 
   /// Finalized sessions return their compressor to a per-shard free pool
@@ -250,8 +251,6 @@ struct FleetStats {
   /// dispatch length — the number that says how much coalescing bought.
   uint64_t coalesced_runs = 0;
   uint64_t blocks_dispatched = 0;  ///< Sealed blocks handed to workers.
-  uint64_t blocks_allocated = 0;   ///< Fresh block allocations (arena).
-  uint64_t blocks_recycled = 0;    ///< Blocks reused from the arena.
   /// Times a shard worker found its ring empty and slept; edge-triggered
   /// wakes make this the count of condvar notifications that mattered.
   uint64_t worker_wakes = 0;
@@ -268,7 +267,6 @@ struct FleetStats {
   uint64_t shed_ring_full = 0;     ///< ...ring full with no latency budget.
   uint64_t shed_latency = 0;       ///< ...ring still full at budget expiry.
   uint64_t shed_rate_limited = 0;  ///< ...device over its token-bucket rate.
-  uint64_t shed_arena = 0;         ///< ...injected arena exhaustion.
   uint64_t sessions_degraded = 0;  ///< Eps-ladder step-ups (cumulative).
   uint64_t sessions_recovered = 0; ///< Eps-ladder step-downs (cumulative).
   std::size_t degraded_sessions = 0; ///< Live sessions above base eps now.
@@ -396,13 +394,13 @@ class FleetEngine {
   std::size_t ShardOf(DeviceId device) const;
 
  private:
-  /// One slot of a shard's ingest ring: either a sealed routing block or a
-  /// finalization command, in submission order.
-  struct ShardCommand {
+  /// One slot of a shard's ingest ring: a routing block the slot owns
+  /// (filled and dispatched in place, reused on every wrap), or a
+  /// finalization command riding an empty block, in submission order.
+  struct ShardCommand : RecordBlock {
     enum class Kind : uint8_t { kBlock, kFinishDevice, kFinishAll };
     Kind kind = Kind::kBlock;
-    DeviceId device = 0;           ///< kFinishDevice target.
-    RecordBlock* block = nullptr;  ///< kBlock payload (arena-owned).
+    DeviceId device = 0;  ///< kFinishDevice target.
   };
 
   /// One live device stream.
@@ -445,8 +443,8 @@ class FleetEngine {
     uint64_t emitted_ = 0;
   };
 
-  /// One shard: the producer-side routing state, the SPSC handoff, and the
-  /// worker-owned session table.
+  /// One shard: the producer-side routing state, the SPSC ring whose slots
+  /// own the routing blocks, and the worker-owned session table.
   ///
   /// Ownership and visibility rules, in lieu of a queue mutex — each rule
   /// now a capability the analysis enforces:
@@ -455,14 +453,13 @@ class FleetEngine {
   ///  - worker_role-guarded fields are touched by the worker thread while
   ///    it runs commands — or by the caller thread after WaitIdle() proved
   ///    `completed == enqueued` (the seq_cst counter read gives the
-  ///    happens-before edge; the next ring Push publishes any caller
+  ///    happens-before edge; the next ring Publish hands any caller
   ///    writes back to the worker). WaitIdle's ASSERT_CAPABILITY is that
   ///    protocol, stated to the compiler. In inline mode there is no
   ///    worker and the caller holds both roles.
   struct Shard {
-    Shard(FleetSink& fleet, std::size_t block_capacity,
-          std::size_t ring_depth)
-        : ring(ring_depth), arena(block_capacity, ring_depth), sink(fleet) {}
+    Shard(FleetSink& fleet, std::size_t ring_depth)
+        : ring(ring_depth), sink(fleet) {}
 
     /// Capability of the single API-caller (routing) thread.
     ThreadRole producer_role;
@@ -471,9 +468,7 @@ class FleetEngine {
     ThreadRole worker_role;
 
     // --- producer-side ------------------------------------------------------
-    /// Partial block still accepting records.
-    RecordBlock* filling GUARDED_BY(producer_role) = nullptr;
-    /// Commands successfully pushed.
+    /// Commands successfully published.
     uint64_t enqueued GUARDED_BY(producer_role) = 0;
     uint64_t blocks_dispatched GUARDED_BY(producer_role) = 0;
     /// Max ring occupancy seen at enqueue.
@@ -494,14 +489,13 @@ class FleetEngine {
       uint64_t ring_full = 0;     ///< ...on a full ring with no budget.
       uint64_t latency = 0;       ///< ...after the latency budget expired.
       uint64_t rate_limited = 0;  ///< ...over the device token rate.
-      uint64_t arena = 0;         ///< ...at injected arena exhaustion.
       uint64_t faults = 0;        ///< Producer-site injector firings obeyed.
     };
     ShedCounters shed GUARDED_BY(producer_role);
 
-    // --- handoff ------------------------------------------------------------
+    // --- handoff: the tail slot is the partial block still accepting
+    // records; the head slot is the command the worker is running --------
     SpscRing<ShardCommand> ring;
-    BlockArena arena;  ///< Producer acquires, worker releases.
 
     // --- idle protocol ------------------------------------------------------
     std::atomic<uint64_t> completed{0};  ///< Commands fully processed.
@@ -517,8 +511,6 @@ class FleetEngine {
     std::vector<RouteGroup> groups GUARDED_BY(worker_role);
     /// Slots active this window.
     std::vector<uint32_t> used_groups GUARDED_BY(worker_role);
-    /// PushRunTo fast-path scratch.
-    std::vector<TrackPoint> gather GUARDED_BY(worker_role);
 
     // --- worker-owned (see visibility rules above) --------------------------
     std::unordered_map<DeviceId, Session> sessions GUARDED_BY(worker_role);
@@ -548,8 +540,7 @@ class FleetEngine {
   /// capabilities. Zero-cost; exists for the analysis.
   static void AssumeProducer(Shard& shard)
       ASSERT_CAPABILITY(shard.producer_role)
-      ASSERT_CAPABILITY(shard.ring.producer_role)
-      ASSERT_CAPABILITY(shard.arena.producer_role) {
+      ASSERT_CAPABILITY(shard.ring.producer_role) {
     (void)shard;
   }
 
@@ -560,35 +551,43 @@ class FleetEngine {
   static void AssumeWorker(Shard& shard)
       ASSERT_CAPABILITY(shard.worker_role)
       ASSERT_CAPABILITY(shard.ring.consumer_role)
-      ASSERT_CAPABILITY(shard.arena.consumer_role)
       ASSERT_CAPABILITY(shard.group_of_device.owner_role) {
     (void)shard;
   }
 
-  void Enqueue(Shard& shard, ShardCommand cmd)
+  /// Stamps the ring's tail slot as a `kind` command and hands it over:
+  /// published to the worker (waiting out backpressure until `deadline`
+  /// when one is given), or — in inline mode, where the caller is the
+  /// worker — executed on the spot. False when the publish timed out or
+  /// the ring stopped; the tail slot then stays with the producer.
+  bool Submit(Shard& shard, ShardCommand::Kind kind, DeviceId device = 0,
+              SpscRing<ShardCommand>::Deadline deadline = std::nullopt)
       REQUIRES(shard.producer_role, shard.ring.producer_role);
+  /// Publishes the tail slot's partial block, if it holds any records.
   void Seal(Shard& shard)
       REQUIRES(shard.producer_role, shard.ring.producer_role);
-  /// Seal on the IngestBatch path: the only seal that may shed. Under
-  /// kBlock (or inline mode) it defers to Seal(); under a kShed* policy a
-  /// ring still full at `deadline` (TryPush when `has_deadline` is false)
-  /// sheds per the policy instead of blocking. Flush/Finish/Stats use
-  /// Seal() directly — draining never loses data.
-  void SealForIngest(Shard& shard,
-                     std::chrono::steady_clock::time_point deadline,
-                     bool has_deadline)
+  /// Seal on the IngestBatch path: the only seal that may shed (kShed*
+  /// policies only). A ring still full at `deadline` (at once when none is
+  /// given) sheds per the policy instead of blocking. Flush/Finish/Stats
+  /// use Seal() — draining never loses data.
+  void SealForIngest(Shard& shard, SpscRing<ShardCommand>::Deadline deadline)
       REQUIRES(shard.producer_role, shard.ring.producer_role);
-  /// kShedByDevice: compacts shard.filling through the per-device token
-  /// buckets (over-rate suffixes shed, survivors kept in place to re-queue
-  /// with the next seal). Returns true when any record was shed.
-  bool CompactByDevice(Shard& shard) REQUIRES(shard.producer_role);
+  /// kShedByDevice: compacts `block` through the per-device token buckets
+  /// (over-rate suffixes shed, survivors kept in place to re-queue with
+  /// the next seal). Returns true when any record was shed.
+  bool CompactByDevice(Shard& shard, RecordBlock& block)
+      REQUIRES(shard.producer_role);
   void SealAll();
   /// Blocks until the shard has processed every enqueued command. The
   /// ASSERT_CAPABILITY is the idle protocol: a drained shard's worker is
   /// parked on an empty ring, so the caller thread owns the worker-side
-  /// state until its next Enqueue.
+  /// state until its next Submit.
   void WaitIdle(Shard& shard) ASSERT_CAPABILITY(shard.worker_role);
   void WorkerLoop(Shard& shard);
+  /// Runs one command: dispatches a block, or closes the finished
+  /// sessions. The worker calls it from its loop; inline mode directly.
+  void Execute(Shard& shard, const ShardCommand& cmd)
+      REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
   void RouteSharded(std::span<const FleetRecord> records);
   void InlineDispatch(std::span<const FleetRecord> records);
   void FlushInlineGroups(Shard& shard)

@@ -53,14 +53,6 @@ enum class OverloadPolicy : uint8_t {
   kShedByDevice, ///< Token-bucket compaction; re-queue the fair survivors.
 };
 
-/// Why records were shed; each reason has a FleetStats counter.
-enum class ShedReason : uint8_t {
-  kRingFull,     ///< Ring full with no latency budget configured.
-  kLatency,      ///< Ring still full when the latency budget expired.
-  kRateLimited,  ///< Device over its token-bucket rate (kShedByDevice).
-  kArena,        ///< Injected arena exhaustion (fault testing).
-};
-
 struct OverloadOptions {
   OverloadPolicy policy = OverloadPolicy::kBlock;
 

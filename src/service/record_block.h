@@ -1,7 +1,7 @@
-// Pooled routing blocks: the unit of work a FleetEngine producer hands a
-// shard worker.
+// Routing blocks: the unit of work a FleetEngine producer hands a shard
+// worker.
 //
-// The PR 3 pipeline staged every IngestBatch into fresh std::vector<
+// The first pipeline staged every IngestBatch into fresh std::vector<
 // FleetRecord> commands (one allocation — typically a fresh mmap — per
 // shard per batch) and the worker then re-copied each device run into a
 // scratch vector before dispatching. A RecordBlock removes both costs:
@@ -12,27 +12,22 @@
 //    goes. The worker dispatches each run's contiguous points straight
 //    into StreamCompressor::PushBatchTo — no second copy, no per-record
 //    replay.
-//  - Blocks recycle through a BlockArena: the worker returns a processed
-//    block over a lock-free SPSC ring and the producer reuses it, heap
-//    capacity (and warm pages) intact. Steady-state ingest allocates
-//    nothing.
+//  - Blocks live in the shard ring's slots (service/spsc_ring.h): the
+//    producer fills the unpublished tail slot's block in place, the worker
+//    dispatches the head slot's block in place and clears it, and the slot
+//    comes round again with its heap capacity (and warm pages) intact.
+//    Steady-state ingest allocates nothing.
 //
-// Threading contract (mirrors the engine): one producer thread calls
-// Acquire/metrics, one consumer thread calls Release. A block is owned by
-// exactly one side at a time — producer while filling, consumer after it
-// was enqueued — with the ingest ring providing the happens-before edge.
-// The side split is encoded for Thread Safety Analysis: Acquire and the
-// counters REQUIRE `producer_role`, Release REQUIRES `consumer_role`.
+// A block is owned by exactly one side at a time — the producer while it
+// is the ring's tail slot, the worker from Pop until its next Pop — with
+// the ring's cursors providing the happens-before edges.
 #ifndef BQS_SERVICE_RECORD_BLOCK_H_
 #define BQS_SERVICE_RECORD_BLOCK_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/thread_annotations.h"
-#include "service/spsc_ring.h"
 #include "trajectory/point.h"
 
 namespace bqs {
@@ -45,8 +40,8 @@ struct DeviceRun {
   uint32_t count = 0;
 };
 
-/// One pooled chunk of routed records: the points of all runs back to
-/// back, plus the run directory that says which device owns which stretch.
+/// One chunk of routed records: the points of all runs back to back, plus
+/// the run directory that says which device owns which stretch.
 struct RecordBlock {
   std::vector<TrackPoint> points;
   std::vector<DeviceRun> runs;
@@ -54,7 +49,7 @@ struct RecordBlock {
   std::size_t size() const { return points.size(); }
   bool empty() const { return points.empty(); }
 
-  /// Drops contents, keeps capacity (that is the point of pooling).
+  /// Drops contents, keeps capacity (that is the point of slot reuse).
   void Clear() {
     points.clear();
     runs.clear();
@@ -78,75 +73,6 @@ struct RecordBlock {
 struct RouteGroup {
   DeviceId device = 0;
   std::vector<TrackPoint> points;
-};
-
-/// Block pool for one shard. The producer Acquire()s blocks to fill; the
-/// shard worker Release()s them after dispatch. Returns travel over an
-/// SPSC ring sized so that every block the arena ever hands out fits back
-/// (outstanding blocks <= ring depth + one filling + one in process), so
-/// Release never blocks and neither side ever takes a lock.
-class BlockArena {
- public:
-  BlockArena(std::size_t block_capacity, std::size_t max_outstanding)
-      : block_capacity_(block_capacity < 1 ? 1 : block_capacity),
-        recycle_(max_outstanding + 2) {}
-
-  std::size_t block_capacity() const { return block_capacity_; }
-
-  /// Producer: a cleared block ready to fill — recycled when one is
-  /// available, freshly allocated otherwise.
-  RecordBlock* Acquire() REQUIRES(producer_role) {
-    // The arena's producer is, by construction, the recycle ring's
-    // consumer (blocks travel worker -> producer): holding producer_role
-    // IS holding recycle_.consumer_role. The alias is asserted, not
-    // derived — this is the one trust point of the reversed-ring design.
-    AssumeRole(recycle_.consumer_role);
-    RecordBlock* block = nullptr;
-    if (recycle_.TryPop(block)) {
-      ++recycled_;
-      return block;
-    }
-    ++allocated_;
-    owned_.push_back(std::make_unique<RecordBlock>());
-    RecordBlock* fresh = owned_.back().get();
-    fresh->points.reserve(block_capacity_);
-    return fresh;
-  }
-
-  /// Consumer: returns a processed block to the pool. Clears it here, on
-  /// release, so a stale handle held past this point reads as empty rather
-  /// than replaying old records — the cheap poisoning the recycle tests
-  /// lock in.
-  void Release(RecordBlock* block) REQUIRES(consumer_role) {
-    // Mirror of the Acquire alias: the arena's consumer is the recycle
-    // ring's producer.
-    AssumeRole(recycle_.producer_role);
-    block->Clear();
-    // By the sizing argument above TryPush cannot fail; if a miscounted
-    // caller ever overflows the ring anyway, the block simply retires
-    // (still owned by owned_, never reused) instead of corrupting state.
-    (void)recycle_.TryPush(block);
-  }
-
-  /// Blocks ever allocated fresh (producer-side counter).
-  uint64_t allocated() const REQUIRES(producer_role) { return allocated_; }
-  /// Acquire() calls served from the recycle ring (producer-side counter).
-  uint64_t recycled() const REQUIRES(producer_role) { return recycled_; }
-
-  /// Capability of the single thread that fills blocks (Acquire/counters).
-  ThreadRole producer_role;
-  /// Capability of the single thread that processes and returns blocks.
-  ThreadRole consumer_role;
-
- private:
-  const std::size_t block_capacity_;
-  /// All blocks ever created, in creation order; gives every block exactly
-  /// one owner for destruction regardless of where its raw pointer sits.
-  /// Producer-side only (Acquire appends, Release never touches it).
-  std::vector<std::unique_ptr<RecordBlock>> owned_ GUARDED_BY(producer_role);
-  SpscRing<RecordBlock*> recycle_;
-  uint64_t allocated_ GUARDED_BY(producer_role) = 0;
-  uint64_t recycled_ GUARDED_BY(producer_role) = 0;
 };
 
 }  // namespace bqs

@@ -1,19 +1,23 @@
-// Bounded single-producer/single-consumer ring buffer — the shard ingest
-// queue behind FleetEngine.
+// Bounded single-producer/single-consumer ring whose slots own their
+// items — the shard ingest queue behind FleetEngine.
 //
-// The PR 3 ingest queue was a std::deque<Command> under a mutex with a
-// condition_variable signalled on every enqueue. Once the PR 4 kernel made
-// compressing a point cheaper than a contended lock, that handoff became
-// the fleet bottleneck: at shards=1 the engine ingested *slower* than the
-// sequential reference. This ring replaces it:
+// The first fleet engine queued commands in a std::deque under a mutex with
+// a condition_variable signalled on every enqueue. Once the fast kernel
+// made compressing a point cheaper than a contended lock, that handoff
+// became the fleet bottleneck. This ring replaces it:
 //
-//  - Fixed slot array, head/tail as atomics. The fast paths (push with
-//    space, pop with items available) touch no mutex and allocate nothing.
+//  - Items are filled and consumed in place. The producer writes the
+//    unpublished tail slot (back()) and publishes it; the consumer reads
+//    the head slot (Pop()) where it lies. A slot's heap — a routing
+//    block's vectors — therefore survives every wrap, and steady state
+//    allocates nothing.
+//  - head/tail are atomics; publishing into free space and popping an
+//    available item touch no mutex.
 //  - Edge-triggered condvar wakes: the consumer advertises that it is
 //    about to sleep (`consumer_asleep_`), and the producer only takes the
-//    mutex to notify when that flag is set — a stream of enqueues into an
-//    awake consumer costs zero notifications instead of one per item.
-//    Backpressure mirrors it on the producer side.
+//    mutex to notify when that flag is set — a stream of publishes into an
+//    awake consumer costs zero notifications. Backpressure mirrors it on
+//    the producer side.
 //  - The sleep/wake handshake is the classic Dekker pattern: the sleeper
 //    stores its flag then re-reads the opposing cursor inside the wait
 //    predicate; the waker publishes its cursor then reads the flag. Both
@@ -21,14 +25,20 @@
 //    sides always observes the other; the notify itself happens under the
 //    mutex, closing the remaining predicate-to-block window.
 //
-// Threading contract: exactly one producer thread may call Push/TryPush
-// and exactly one consumer thread may call Pop/TryPop. The contract is
-// encoded for Clang Thread Safety Analysis: Push-side entry points REQUIRE
-// the `producer_role` capability and Pop-side entry points the
-// `consumer_role`; the owning threads assert their role once (AssumeRole)
-// and the analysis rejects any call path that crosses sides. Stop() may be
-// called from any thread (FleetEngine calls it from the destructor).
-// size() is an approximation when read from other threads.
+// Slot ownership: `capacity` published items, plus the slot the consumer
+// is still working on (the one its last Pop returned; its next Pop
+// releases it), plus the producer's unpublished tail slot. The ring holds
+// capacity + 2 slots, so those three sets never overlap and neither side
+// ever waits on the other's slot.
+//
+// Threading contract: exactly one producer thread may call back/Publish
+// and exactly one consumer thread may call Pop. The contract is encoded for
+// Clang Thread Safety Analysis: producer entry points REQUIRE the
+// `producer_role` capability and Pop the `consumer_role`; the owning
+// threads assert their role once (AssumeRole) and the analysis rejects any
+// call path that crosses sides. Stop() may be called from any thread
+// (FleetEngine calls it from the destructor). size() is an approximation
+// when read from other threads.
 #ifndef BQS_SERVICE_SPSC_RING_H_
 #define BQS_SERVICE_SPSC_RING_H_
 
@@ -37,7 +47,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
+#include <optional>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -47,19 +57,22 @@ namespace bqs {
 template <typename T>
 class SpscRing {
  public:
-  /// Capacity is clamped to >= 1 and is exact (not rounded to a power of
-  /// two): the ring indexes with a modulo, trading a division per access
-  /// for predictable memory use at the caller's chosen depth.
+  using Deadline = std::optional<std::chrono::steady_clock::time_point>;
+
+  /// Capacity (published items) is clamped to >= 1 and is exact (not
+  /// rounded to a power of two): Pop indexes with a modulo, trading a
+  /// division per item for predictable memory use at the caller's depth.
   explicit SpscRing(std::size_t capacity)
-      : capacity_(capacity < 1 ? 1 : capacity), slots_(capacity_) {}
+      : capacity_(capacity < 1 ? 1 : capacity), slots_(capacity_ + 2) {}
 
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
   std::size_t capacity() const { return capacity_; }
 
-  /// Approximate occupancy. Exact when called by the producer between its
-  /// own pushes (the consumer can only shrink it concurrently).
+  /// Published items the consumer has not popped yet. Exact when called by
+  /// the producer between its own publishes (the consumer can only shrink
+  /// it concurrently).
   std::size_t size() const {
     const uint64_t tail = tail_.load(std::memory_order_acquire);
     const uint64_t head = head_.load(std::memory_order_acquire);
@@ -68,57 +81,42 @@ class SpscRing {
 
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
-  /// Producer: enqueue, blocking while the ring is full (backpressure).
-  /// Returns false — with `item` dropped — only if the ring was stopped.
-  bool Push(T item) REQUIRES(producer_role) {
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
-      producer_waits_.fetch_add(1, std::memory_order_relaxed);
-      MutexLock lock(mu_);
-      producer_asleep_.store(true, std::memory_order_seq_cst);
-      cv_producer_.wait(lock.native(), [&] {
-        return stop_.load(std::memory_order_relaxed) ||
-               tail - head_.load(std::memory_order_seq_cst) < capacity_;
-      });
-      producer_asleep_.store(false, std::memory_order_relaxed);
-      if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
-        return false;  // stopped while still full
-      }
-    }
-    if (stop_.load(std::memory_order_relaxed)) return false;
-    slots_[static_cast<std::size_t>(tail % capacity_)] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_seq_cst);
-    if (consumer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_consumer_.notify_one();
-    }
-    return true;
-  }
+  /// Producer: the unpublished tail slot, to fill in place. It holds
+  /// whatever the consumer left in it when it last came round. Cheap
+  /// enough to call per record: no atomic, no division.
+  T& back() REQUIRES(producer_role) { return slots_[back_slot_]; }
 
-  /// Producer: enqueue, blocking until space frees, `deadline` passes, or
-  /// the ring is stopped — the bounded-latency variant of Push() behind
-  /// the fleet engine's shed policies. Returns false — with `item`
-  /// dropped — on timeout or stop. Same Dekker sleep/wake discipline as
-  /// Push(); a timed-out wait still counts as a producer_wait.
-  bool PushUntil(T item, std::chrono::steady_clock::time_point deadline)
-      REQUIRES(producer_role) {
+  /// Producer: publishes back() once the ring has space, waiting while it
+  /// is full (backpressure) — until `deadline` when one is given. An
+  /// already-expired deadline makes this a non-blocking attempt. Returns
+  /// false, leaving back() unpublished and untouched, on timeout or stop.
+  /// A full ring that is actually waited on counts as a producer_wait.
+  bool Publish(Deadline deadline = std::nullopt) REQUIRES(producer_role) {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
+      if (deadline && *deadline <= std::chrono::steady_clock::now()) {
+        return false;
+      }
       producer_waits_.fetch_add(1, std::memory_order_relaxed);
       MutexLock lock(mu_);
       producer_asleep_.store(true, std::memory_order_seq_cst);
-      cv_producer_.wait_until(lock.native(), deadline, [&] {
+      const auto has_space = [&] {
         return stop_.load(std::memory_order_relaxed) ||
                tail - head_.load(std::memory_order_seq_cst) < capacity_;
-      });
+      };
+      if (deadline) {
+        cv_producer_.wait_until(lock.native(), *deadline, has_space);
+      } else {
+        cv_producer_.wait(lock.native(), has_space);
+      }
       producer_asleep_.store(false, std::memory_order_relaxed);
       if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
         return false;  // deadline passed (or stopped) while still full
       }
     }
     if (stop_.load(std::memory_order_relaxed)) return false;
-    slots_[static_cast<std::size_t>(tail % capacity_)] = std::move(item);
     tail_.store(tail + 1, std::memory_order_seq_cst);
+    back_slot_ = back_slot_ + 1 == slots_.size() ? 0 : back_slot_ + 1;
     if (consumer_asleep_.load(std::memory_order_seq_cst)) {
       MutexLock lock(mu_);
       cv_consumer_.notify_one();
@@ -126,26 +124,12 @@ class SpscRing {
     return true;
   }
 
-  /// Producer: non-blocking enqueue. False when full or stopped.
-  bool TryPush(T item) REQUIRES(producer_role) {
-    if (stop_.load(std::memory_order_relaxed)) return false;
-    const uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail - head_.load(std::memory_order_acquire) >= capacity_) {
-      return false;
-    }
-    slots_[static_cast<std::size_t>(tail % capacity_)] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_seq_cst);
-    if (consumer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_consumer_.notify_one();
-    }
-    return true;
-  }
-
-  /// Consumer: dequeue, blocking while the ring is empty. After Stop() the
-  /// remaining items still drain in order; returns false once stopped AND
-  /// empty (the worker-thread exit condition).
-  bool Pop(T& out) REQUIRES(consumer_role) {
+  /// Consumer: the next published item, in place, waiting while the ring
+  /// is empty. The slot stays the consumer's until its next Pop, which
+  /// releases it back to the producer. After Stop() the remaining items
+  /// still drain in order; returns nullptr once stopped AND empty (the
+  /// worker-thread exit condition).
+  T* Pop() REQUIRES(consumer_role) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_.load(std::memory_order_acquire)) {
       consumer_waits_.fetch_add(1, std::memory_order_relaxed);
@@ -157,33 +141,19 @@ class SpscRing {
       });
       consumer_asleep_.store(false, std::memory_order_relaxed);
       if (head == tail_.load(std::memory_order_acquire)) {
-        return false;  // stopped and drained
+        return nullptr;  // stopped and drained
       }
     }
-    out = std::move(slots_[static_cast<std::size_t>(head % capacity_)]);
     head_.store(head + 1, std::memory_order_seq_cst);
     if (producer_asleep_.load(std::memory_order_seq_cst)) {
       MutexLock lock(mu_);
       cv_producer_.notify_one();
     }
-    return true;
+    return &slots_[static_cast<std::size_t>(head % slots_.size())];
   }
 
-  /// Consumer: non-blocking dequeue. False when empty.
-  bool TryPop(T& out) REQUIRES(consumer_role) {
-    const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_.load(std::memory_order_acquire)) return false;
-    out = std::move(slots_[static_cast<std::size_t>(head % capacity_)]);
-    head_.store(head + 1, std::memory_order_seq_cst);
-    if (producer_asleep_.load(std::memory_order_seq_cst)) {
-      MutexLock lock(mu_);
-      cv_producer_.notify_one();
-    }
-    return true;
-  }
-
-  /// Wakes both sides. A blocked Push returns false (its item is dropped);
-  /// Pop keeps returning queued items until the ring is drained.
+  /// Wakes both sides. A blocked Publish returns false; Pop keeps returning
+  /// queued items until the ring is drained.
   void Stop() {
     MutexLock lock(mu_);
     stop_.store(true, std::memory_order_seq_cst);
@@ -198,27 +168,32 @@ class SpscRing {
     return consumer_waits_.load(std::memory_order_relaxed);
   }
 
-  /// Times the producer found the ring full and blocked (backpressure).
+  /// Times the producer found the ring full and waited (backpressure).
   uint64_t producer_waits() const {
     return producer_waits_.load(std::memory_order_relaxed);
   }
 
-  /// Capability held by the single thread allowed to Push/TryPush. Held by
+  /// Capability held by the single thread allowed to back/Publish. Held by
   /// protocol (being that thread), asserted via AssumeRole at the owner's
   /// trust point, never locked.
   ThreadRole producer_role;
-  /// Capability held by the single thread allowed to Pop/TryPop.
+  /// Capability held by the single thread allowed to Pop.
   ThreadRole consumer_role;
 
  private:
   const std::size_t capacity_;
-  /// Slot i is written by the producer before the tail_ release-store and
-  /// read by the consumer after the matching acquire-load; that per-slot
+  /// The tail slot is written by the producer before the tail_ store that
+  /// publishes it and read by the consumer after the matching load; the
+  /// consumer is done with a slot before the head_ store of its next Pop,
+  /// which releases it, and the producer reads head_ before it reuses
+  /// one. That per-slot
   /// handoff is the SPSC invariant itself, finer-grained than a capability
   /// can express, so slots_ carries no GUARDED_BY.
   std::vector<T> slots_;
   std::atomic<uint64_t> head_{0};  ///< Next slot to pop (consumer-owned).
-  std::atomic<uint64_t> tail_{0};  ///< Next slot to fill (producer-owned).
+  std::atomic<uint64_t> tail_{0};  ///< Next slot to publish (producer's).
+  /// slots_ index of tail_, kept by the producer alongside it.
+  std::size_t back_slot_ GUARDED_BY(producer_role) = 0;
   std::atomic<bool> stop_{false};
   std::atomic<bool> consumer_asleep_{false};
   std::atomic<bool> producer_asleep_{false};

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <span>
+#include <utility>
 
 #include "baselines/buffered_greedy.h"
 #include "test_util.h"
@@ -295,7 +296,9 @@ TEST(BqsCompressorTest, HullResolverIsByteIdenticalToBruteForce) {
           BqsOptions hull_options;
           hull_options.epsilon = epsilon;
           hull_options.metric = metric;
-          hull_options.exact_resolver = ExactResolver::kHull;
+          // Threshold 1: the hull owns every segment from its first
+          // buffered point.
+          hull_options.adaptive_resolver_threshold = 1;
           BqsOptions brute_options = hull_options;
           brute_options.exact_resolver = ExactResolver::kBruteForce;
 
@@ -337,9 +340,12 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
         for (DistanceMetric metric : {DistanceMetric::kPointToLine,
                                       DistanceMetric::kPointToSegment}) {
           for (bool rotate : {false, true}) {
-            for (ExactResolver resolver :
-                 {ExactResolver::kAdaptive, ExactResolver::kHull,
-                  ExactResolver::kBruteForce}) {
+            // Adaptive at its default threshold, adaptive at threshold 1
+            // (all-hull), and brute force.
+            for (const auto& [resolver, threshold] :
+                 {std::pair{ExactResolver::kAdaptive, 256},
+                  std::pair{ExactResolver::kAdaptive, 1},
+                  std::pair{ExactResolver::kBruteForce, 256}}) {
               for (BoundsMode mode :
                    {BoundsMode::kSound, BoundsMode::kPaperEq8}) {
                 BqsOptions fast_options;
@@ -347,6 +353,7 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
                 fast_options.metric = metric;
                 fast_options.data_centric_rotation = rotate;
                 fast_options.exact_resolver = resolver;
+                fast_options.adaptive_resolver_threshold = threshold;
                 fast_options.bounds_mode = mode;
                 fast_options.bound_kernel = BoundKernel::kFast;
                 BqsOptions reference_options = fast_options;
@@ -364,6 +371,7 @@ TEST(BqsCompressorTest, FastKernelIsByteIdenticalToReferenceCorpus) {
                              << " metric=" << static_cast<int>(metric)
                              << " rotate=" << rotate
                              << " resolver=" << static_cast<int>(resolver)
+                             << " threshold=" << threshold
                              << " mode=" << static_cast<int>(mode));
                 ExpectByteIdenticalKeys(fast_out, reference_out,
                                         "kernel diff");
@@ -431,7 +439,8 @@ TEST(BqsCompressorTest, FastKernelHandlesStationaryRuns) {
 
 TEST(BqsCompressorTest, AdaptiveResolverIsByteIdenticalToBothPureModes) {
   // The adaptive resolver must be a pure scheduling decision: outputs and
-  // decision mixes identical to kHull and kBruteForce at any threshold.
+  // decision mixes identical to the all-hull threshold 1 and to
+  // kBruteForce at any threshold.
   for (uint64_t seed : {181u, 182u}) {
     const Trajectory walk = JaggedWalk(seed, 2500);
     for (double epsilon : {3.0, 10.0}) {
@@ -441,7 +450,7 @@ TEST(BqsCompressorTest, AdaptiveResolverIsByteIdenticalToBothPureModes) {
         adaptive_options.exact_resolver = ExactResolver::kAdaptive;
         adaptive_options.adaptive_resolver_threshold = threshold;
         BqsOptions hull_options = adaptive_options;
-        hull_options.exact_resolver = ExactResolver::kHull;
+        hull_options.adaptive_resolver_threshold = 1;
         BqsOptions brute_options = adaptive_options;
         brute_options.exact_resolver = ExactResolver::kBruteForce;
 
@@ -501,10 +510,11 @@ TEST(BqsCompressorTest, HullProbeActualMatchesBruteForce) {
     uint64_t index;
     double actual;
   };
-  auto run = [&](ExactResolver resolver) {
+  auto run = [&](ExactResolver resolver, int threshold) {
     BqsOptions options;
     options.epsilon = 6.0;
     options.exact_resolver = resolver;
+    options.adaptive_resolver_threshold = threshold;
     BqsCompressor bqs(options);
     std::vector<Obs> observations;
     bqs.SetProbe([&](const internal::BoundsProbe& probe) {
@@ -513,8 +523,8 @@ TEST(BqsCompressorTest, HullProbeActualMatchesBruteForce) {
     CompressAll(bqs, walk);
     return observations;
   };
-  const std::vector<Obs> via_hull = run(ExactResolver::kHull);
-  const std::vector<Obs> via_brute = run(ExactResolver::kBruteForce);
+  const std::vector<Obs> via_hull = run(ExactResolver::kAdaptive, 1);
+  const std::vector<Obs> via_brute = run(ExactResolver::kBruteForce, 256);
   ASSERT_EQ(via_hull.size(), via_brute.size());
   ASSERT_GT(via_hull.size(), 100u);
   for (std::size_t i = 0; i < via_hull.size(); ++i) {

@@ -227,7 +227,12 @@ TEST(FleetOverloadTest, LatencyBudgetBoundsIngestWhenWorkerStalls) {
   options.overload.latency_budget_ms = 5.0;
   options.fault_injector = &injector;
   FleetEngine engine(options, sink);
-  engine.IngestBatch(feed);
+  // Seal one block, then rendezvous with the worker parked on it: the rest
+  // of the feed meets a stalled worker however the threads get scheduled.
+  const std::span<const FleetRecord> all(feed);
+  engine.IngestBatch(all.first(options.block_capacity));
+  injector.WaitStallReached();
+  engine.IngestBatch(all.subspan(options.block_capacity));
   // IngestBatch returned with the worker still parked — the bounded-wait
   // guarantee in action. Release the gate so the drain can finish.
   EXPECT_EQ(injector.fires(FaultSite::kWorkerStall), 1u);
@@ -240,40 +245,6 @@ TEST(FleetOverloadTest, LatencyBudgetBoundsIngestWhenWorkerStalls) {
   EXPECT_GE(stats.faults_injected, 1u);
   EXPECT_GE(stats.backpressure_waits, 1u);  // the timed waits that expired
   EXPECT_EQ(stats.records_ingested + stats.records_shed, feed.size());
-}
-
-TEST(FleetOverloadTest, ArenaExhaustionShedsExactlyTheDeniedRecords) {
-  const Trajectory stream = testing_util::SmoothWalk(8103, 200);
-  const std::vector<FleetRecord> feed = ToFeed(1, stream);
-
-  FaultInjector injector(31337);
-  injector.Arm(FaultSite::kArenaExhausted, 1.0, /*max_fires=*/3);
-  CollectingSink sink;
-  FleetEngineOptions options;
-  options.algorithm = ConfigFor(AlgorithmId::kBqs);
-  options.num_shards = 2;
-  options.block_capacity = 16;
-  options.overload.policy = OverloadPolicy::kShedNewest;
-  options.fault_injector = &injector;
-  FleetEngine engine(options, sink);
-  engine.IngestBatch(feed);
-  engine.FinishAll();
-  const FleetStats stats = engine.Stats();
-
-  // The denial fires on the first three block acquisitions — the first
-  // three records of the batch, exactly, nothing else.
-  EXPECT_EQ(stats.shed_arena, 3u);
-  EXPECT_EQ(stats.records_shed, 3u);
-  EXPECT_EQ(stats.faults_injected, 3u);
-  EXPECT_EQ(stats.records_ingested, feed.size() - 3);
-
-  // The survivors are the stream minus its first three records; their
-  // compressed output is byte-identical to compressing that suffix alone.
-  const auto keys = sink.keys();
-  ASSERT_TRUE(keys.contains(1));
-  EXPECT_EQ(keys.at(1),
-            ReferenceKeys(ConfigFor(AlgorithmId::kBqs),
-                          std::span<const TrackPoint>(stream).subspan(3)));
 }
 
 TEST(FleetOverloadTest, BlockPolicyNeverShedsEvenWithFaultsFiring) {
@@ -289,7 +260,6 @@ TEST(FleetOverloadTest, BlockPolicyNeverShedsEvenWithFaultsFiring) {
 
   FaultInjector injector(99);
   injector.Arm(FaultSite::kRingFull, 1.0);
-  injector.Arm(FaultSite::kArenaExhausted, 1.0);
   CollectingSink sink;
   FleetEngineOptions options;
   options.algorithm = config;
@@ -322,7 +292,7 @@ TEST(FleetOverloadTest, MidBatchEvictClosesSessionWhichReopensCleanly) {
   CollectingSink sink;
   FleetEngineOptions options;
   options.algorithm = ConfigFor(AlgorithmId::kBqs);
-  options.num_shards = 1;  // inline: the fast path has the hook too
+  options.num_shards = 1;  // inline: the grouped dispatch has the hook too
   options.fault_injector = &injector;
   FleetEngine engine(options, sink);
 

@@ -1,10 +1,8 @@
-// RecordBlock + BlockArena: the pooled routing chunks of the fleet ingest
-// pipeline. Run coalescing on append, and the arena's recycle contract —
-// blocks come back cleared (reuse-poisoning) with their heap capacity
-// intact, and the counters tell allocation from reuse apart.
+// RecordBlock: the routing chunk of the fleet ingest pipeline. Run
+// coalescing on append, and Clear() keeping the heap capacity that lets a
+// shard ring slot reuse its block on every wrap (spsc_ring_test covers the
+// slot side).
 #include "service/record_block.h"
-
-#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -43,78 +41,6 @@ TEST(RecordBlockTest, ClearKeepsCapacity) {
   EXPECT_TRUE(block.empty());
   EXPECT_EQ(block.runs.size(), 0u);
   EXPECT_EQ(block.points.capacity(), point_cap);
-}
-
-TEST(BlockArenaTest, AcquireAllocatesWhenPoolIsEmpty) {
-  BlockArena arena(64, 4);
-  RecordBlock* a = arena.Acquire();
-  RecordBlock* b = arena.Acquire();
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(arena.allocated(), 2u);
-  EXPECT_EQ(arena.recycled(), 0u);
-  // Fresh blocks arrive pre-reserved to the configured capacity, so the
-  // router's appends never reallocate mid-block.
-  EXPECT_GE(a->points.capacity(), 64u);
-}
-
-TEST(BlockArenaTest, ReleaseRecyclesClearedBlocksWithCapacity) {
-  BlockArena arena(64, 4);
-  RecordBlock* block = arena.Acquire();
-  for (int i = 0; i < 64; ++i) block->Append(5, Pt(i));
-  const std::size_t cap = block->points.capacity();
-
-  // Reuse-poisoning: Release clears immediately, so a stale handle held
-  // past this point reads as empty instead of replaying old records.
-  arena.Release(block);
-  EXPECT_TRUE(block->empty());
-  EXPECT_TRUE(block->runs.empty());
-
-  RecordBlock* again = arena.Acquire();
-  EXPECT_EQ(again, block);  // LIFO-ish reuse of the one pooled block
-  EXPECT_TRUE(again->empty());
-  EXPECT_EQ(again->points.capacity(), cap);  // heap survived the cycle
-  EXPECT_EQ(arena.allocated(), 1u);
-  EXPECT_EQ(arena.recycled(), 1u);
-}
-
-TEST(BlockArenaTest, RecycleOutlivesManyCycles) {
-  BlockArena arena(16, 2);
-  RecordBlock* first = arena.Acquire();
-  arena.Release(first);
-  for (int cycle = 0; cycle < 1000; ++cycle) {
-    RecordBlock* block = arena.Acquire();
-    ASSERT_TRUE(block->empty()) << "cycle " << cycle;
-    for (int i = 0; i < 16; ++i) block->Append(1, Pt(i));
-    arena.Release(block);
-  }
-  // Steady state never allocates: one block serves every cycle.
-  EXPECT_EQ(arena.allocated(), 1u);
-  EXPECT_EQ(arena.recycled(), 1000u);
-}
-
-TEST(BlockArenaTest, ManyOutstandingBlocksStayIndependent) {
-  BlockArena arena(8, 3);
-  std::vector<RecordBlock*> held;
-  for (int i = 0; i < 5; ++i) {
-    RecordBlock* block = arena.Acquire();
-    block->Append(static_cast<DeviceId>(i), Pt(i));
-    held.push_back(block);
-  }
-  // Five live blocks, each with its own contents.
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(held[static_cast<std::size_t>(i)]->runs.size(), 1u);
-    EXPECT_EQ(held[static_cast<std::size_t>(i)]->runs[0].device,
-              static_cast<DeviceId>(i));
-  }
-  for (RecordBlock* block : held) arena.Release(block);
-  // All five fit back in the recycle ring (depth + 2), so the next five
-  // acquires are pure reuse.
-  const uint64_t allocated_before = arena.allocated();
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(arena.Acquire()->empty());
-  EXPECT_EQ(arena.allocated(), allocated_before);
-  EXPECT_EQ(arena.recycled(), 5u);
 }
 
 }  // namespace

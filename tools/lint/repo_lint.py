@@ -14,10 +14,11 @@ cannot see:
       silent regression the paper's O(1)-per-point claim forbids.
 
   service-alloc-budget
-      src/service steady-state code pools everything (BlockArena,
-      session pool, SpscRing) and synchronises through the annotated
-      Mutex wrapper. Naked ``new`` / ``malloc`` / ``std::mutex`` tokens
-      are budgeted per file in service_alloc_budget.txt (today: zero).
+      src/service steady-state code pools everything (routing blocks in
+      the SpscRing slots that own them, the session pool) and
+      synchronises through the annotated Mutex wrapper. Naked ``new`` /
+      ``malloc`` / ``std::mutex`` tokens are budgeted per file in
+      service_alloc_budget.txt (today: zero).
       Raising a budget is allowed but must be done consciously, in the
       committed budget file, where a reviewer sees it.
 
