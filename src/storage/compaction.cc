@@ -590,10 +590,25 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 
 // --- range queries --------------------------------------------------------
 
+struct BlockStore::Cache {
+  explicit Cache(std::size_t block_count) : blocks(block_count) {}
+
+  Mutex mu;
+  /// Dequantized points per block id; null until cached. A filled slot
+  /// never changes again, so readers use it outside the lock.
+  std::vector<std::unique_ptr<const std::vector<KeyPoint>>> blocks
+      GUARDED_BY(mu);
+  std::size_t bytes GUARDED_BY(mu) = 0;
+};
+
 BlockStore::BlockStore(std::string dir, Manifest manifest, double cell_size)
     : dir_(std::move(dir)),
       manifest_(std::move(manifest)),
       grid_(cell_size) {}
+
+BlockStore::BlockStore(BlockStore&&) noexcept = default;
+BlockStore& BlockStore::operator=(BlockStore&&) noexcept = default;
+BlockStore::~BlockStore() = default;
 
 Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
   Manifest manifest;
@@ -637,7 +652,37 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
       store.blocks_.push_back(BlockRef{slot, entry.offset, entry.meta});
     }
   }
+  store.cache_ = std::make_unique<Cache>(count);
   return store;
+}
+
+std::size_t BlockStore::cached_bytes() const {
+  MutexLock lock(cache_->mu);
+  return cache_->bytes;
+}
+
+Status BlockStore::LoadBlock(std::size_t id,
+                             std::vector<KeyPoint>* points) const {
+  const BlockRef& ref = blocks_[id];
+  const std::string path =
+      dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
+  // Opened per cache miss: a store holds no descriptors between queries.
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("open " + path + " for read failed");
+  blk::BlockMeta meta;
+  std::vector<wal::WalCheckpoint> decoded;
+  BQS_RETURN_NOT_OK(ReadBlockAt(in, path, ref.offset, &meta, &decoded));
+  if (!(meta == ref.meta)) {
+    return Status::Corruption("block metadata mismatch in " + path);
+  }
+  points->clear();
+  points->reserve(static_cast<std::size_t>(meta.point_count));
+  for (const wal::WalCheckpoint& c : decoded) {
+    for (const wal::WalPoint& p : c.points) {
+      points->push_back(wal::Dequantize(p, manifest_.quant));
+    }
+  }
+  return Status::OK();
 }
 
 Status BlockStore::Query(Vec2 center, double radius, double t_min,
@@ -656,12 +701,11 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
   const double tq = manifest_.quant.time_quantum;
   const double radius_sq = radius * radius;
 
-  std::ifstream in;
-  std::size_t open_slot = SIZE_MAX;
+  // Exact prune: circle vs dequantized bbox, plus time-span overlap.
+  std::vector<std::size_t> hits;
+  hits.reserve(candidates.size());
   for (const uint64_t id : candidates) {
-    const BlockRef& ref = blocks_[static_cast<std::size_t>(id)];
-    const blk::BlockMeta& m = ref.meta;
-    // Exact prune: circle vs dequantized bbox, plus time-span overlap.
+    const blk::BlockMeta& m = blocks_[static_cast<std::size_t>(id)].meta;
     const double t0 = static_cast<double>(m.qt_min) * tq;
     const double t1 = static_cast<double>(m.qt_max) * tq;
     const double rx0 = static_cast<double>(m.qx_min) * cq;
@@ -676,34 +720,45 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
       ++s->blocks_pruned;
       continue;
     }
+    hits.push_back(static_cast<std::size_t>(id));
+  }
 
-    if (ref.file_slot != open_slot) {
-      in.close();
-      in.clear();
-      const std::string path =
-          dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
-      in.open(path, std::ios::binary);
-      if (!in) return Status::IoError("open " + path + " for read failed");
-      open_slot = ref.file_slot;
+  // One critical section finds what is already cached.
+  std::vector<const std::vector<KeyPoint>*> cached(hits.size(), nullptr);
+  {
+    MutexLock lock(cache_->mu);
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      cached[i] = cache_->blocks[hits[i]].get();
     }
-    blk::BlockMeta meta;
-    std::vector<wal::WalCheckpoint> decoded;
-    const std::string path =
-        dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
-    BQS_RETURN_NOT_OK(ReadBlockAt(in, path, ref.offset, &meta, &decoded));
-    if (!(meta == m)) {
-      return Status::Corruption("block metadata mismatch in " + path);
+  }
+
+  const auto filter = [&](const std::vector<KeyPoint>& points) {
+    s->points_scanned += points.size();
+    for (const KeyPoint& key : points) {
+      if (key.point.t < t_min || key.point.t > t_max) continue;
+      if (DistanceSq(key.point.pos, center) > radius_sq) continue;
+      out->push_back(key);
+      ++s->points_returned;
     }
+  };
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    if (cached[i] != nullptr) {
+      ++s->blocks_cached;
+      filter(*cached[i]);
+      continue;
+    }
+    std::vector<KeyPoint> points;
+    BQS_RETURN_NOT_OK(LoadBlock(hits[i], &points));
     ++s->blocks_decoded;
-    for (const wal::WalCheckpoint& c : decoded) {
-      s->points_scanned += c.points.size();
-      for (const wal::WalPoint& p : c.points) {
-        const KeyPoint key = wal::Dequantize(p, manifest_.quant);
-        if (key.point.t < t_min || key.point.t > t_max) continue;
-        if (DistanceSq(key.point.pos, center) > radius_sq) continue;
-        out->push_back(key);
-        ++s->points_returned;
-      }
+    filter(points);
+    // Admit it if it fits; a concurrent query may have cached it already.
+    const std::size_t bytes = points.size() * sizeof(KeyPoint);
+    MutexLock lock(cache_->mu);
+    std::unique_ptr<const std::vector<KeyPoint>>& slot =
+        cache_->blocks[hits[i]];
+    if (slot == nullptr && cache_->bytes + bytes <= cache_cap_) {
+      slot = std::make_unique<const std::vector<KeyPoint>>(std::move(points));
+      cache_->bytes += bytes;
     }
   }
   return Status::OK();

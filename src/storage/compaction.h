@@ -48,6 +48,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -193,8 +194,9 @@ struct RangeQueryStats {
   uint64_t blocks_total = 0;      ///< Live blocks in the store.
   uint64_t grid_candidates = 0;   ///< Survived the grid-index sweep.
   uint64_t blocks_pruned = 0;     ///< Rejected by exact bbox/time test.
-  uint64_t blocks_decoded = 0;    ///< Actually read + decoded.
-  uint64_t points_scanned = 0;    ///< Points inside decoded blocks.
+  uint64_t blocks_decoded = 0;    ///< Actually read + decoded by this query.
+  uint64_t blocks_cached = 0;     ///< Served from the decoded-block cache.
+  uint64_t points_scanned = 0;    ///< Points inside surviving blocks.
   uint64_t points_returned = 0;
 };
 
@@ -209,14 +211,37 @@ struct RangeQueryStats {
 /// key points are dequantized; each is within quantum/2 per axis of what
 /// the compressor emitted, so results inherit the combined
 /// eps + quantum/2 error bound end to end.
+///
+/// Decoded-block cache: the first query that needs a block opens its
+/// file, reads the block, verifies it (CRC, payload decode with its
+/// embedded-meta check, and meta == manifest meta), closes the file and
+/// keeps its points dequantized in memory, so later queries of the same
+/// open filter them without I/O. The cache lives as long as the store
+/// and is capped at kCacheBytes; a block that does not fit is decoded
+/// for its query and dropped (there is no eviction). Corruption
+/// is therefore detected on a block's first touch per open: a failed
+/// read or decode is returned as an error and never cached, so every
+/// query touching that block fails again. Bytes changed on disk after a
+/// block was cached are not seen until the next Open.
+///
+/// Threading: Query is const and safe to call from many threads at once.
+/// The cache sits behind an internal mutex; reads and decodes run outside
+/// it, and a cached block is immutable until the store is destroyed.
 class BlockStore {
  public:
+  /// Decoded-block cache budget, in bytes of dequantized key points.
+  static constexpr std::size_t kCacheBytes = std::size_t{64} << 20;
+
   /// Reads the MANIFEST and builds the pruning index. NotFound when no
   /// manifest exists, Corruption when it fails to decode.
   static Result<BlockStore> Open(const std::string& block_dir);
 
+  BlockStore(BlockStore&&) noexcept;
+  BlockStore& operator=(BlockStore&&) noexcept;
+  ~BlockStore();
+
   /// Appends key points within `radius` of `center` (Euclidean) whose
-  /// timestamp lies in [t_min, t_max]. Decodes only matching blocks.
+  /// timestamp lies in [t_min, t_max]. Touches only matching blocks.
   Status Query(Vec2 center, double radius, double t_min, double t_max,
                std::vector<KeyPoint>* out,
                RangeQueryStats* stats = nullptr) const;
@@ -225,20 +250,34 @@ class BlockStore {
   std::size_t block_count() const { return blocks_.size(); }
   uint64_t last_applied_seq() const { return manifest_.last_applied_seq; }
 
+  /// Bytes currently held by the decoded-block cache (<= kCacheBytes).
+  std::size_t cached_bytes() const;
+
  private:
+  friend class BlockStoreTestPeer;  // lowers cache_cap_ in tests
+
   struct BlockRef {
     std::size_t file_slot = 0;  ///< Index into manifest_.files.
     uint64_t offset = 0;
     blk::BlockMeta meta;
   };
+  struct Cache;  // per-open decoded blocks (.cc)
 
   BlockStore(std::string dir, Manifest manifest, double cell_size);
+
+  /// Reads block `id` from disk, runs every integrity check and returns
+  /// its points dequantized, in stored order.
+  Status LoadBlock(std::size_t id, std::vector<KeyPoint>* points) const;
 
   std::string dir_;
   Manifest manifest_;
   std::vector<BlockRef> blocks_;
   GridIndex grid_;       ///< id = index into blocks_, pos = bbox center.
   double inflate_ = 0.0; ///< Largest block half-diagonal, metres.
+  std::unique_ptr<Cache> cache_;
+  /// Cache budget: always kCacheBytes, except where a test lowers it so a
+  /// small store can overflow the cache.
+  std::size_t cache_cap_ = kCacheBytes;
 };
 
 }  // namespace bqs

@@ -12,7 +12,8 @@
 
 namespace bqs {
 
-/// Maps ids to positions and answers radius queries in O(cells touched).
+/// Maps ids to positions and answers radius queries in
+/// O(min(cells swept, entries held)).
 class GridIndex {
  public:
   /// `cell_size` should be on the order of typical query radii.

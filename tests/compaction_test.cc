@@ -1,18 +1,24 @@
 // Compaction functional tests: WAL segments drain into columnar blocks
 // behind an atomic manifest, recovery off blocks ∪ WAL tail is exact,
 // failures degrade (ENOSPC) or retry (rename) per policy, and range
-// queries answer off the compressed blocks decoding only what matches.
+// queries answer off the compressed blocks decoding only what matches —
+// once per open, through a byte-capped decoded-block cache that is safe
+// under concurrent queries and never caches a block that failed a check.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/fault_injector.h"
+#include "common/rng.h"
 #include "storage/compaction.h"
 #include "storage/keypoint_wal.h"
 #include "storage/manifest.h"
@@ -475,6 +481,439 @@ TEST(BlockStoreTest, OpenReportsNotFoundWithoutManifest) {
   Result<BlockStore> opened = BlockStore::Open(dir);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kNotFound);
+}
+
+// --- decoded-block cache --------------------------------------------------
+
+using Batches = std::vector<std::pair<DeviceId, std::vector<KeyPoint>>>;
+
+/// Strict weak order so query results compare as sorted point sets.
+bool KeyLess(const KeyPoint& a, const KeyPoint& b) {
+  return std::tie(a.point.t, a.point.pos.x, a.point.pos.y, a.index) <
+         std::tie(b.point.t, b.point.pos.x, b.point.pos.y, b.index);
+}
+
+std::vector<KeyPoint> Sorted(std::vector<KeyPoint> keys) {
+  std::sort(keys.begin(), keys.end(), KeyLess);
+  return keys;
+}
+
+/// Appends every batch to a fresh WAL, compacts all of it into
+/// `block_dir`, and returns every point as storage holds it (quantized,
+/// then dequantized) — the brute-force reference.
+std::vector<KeyPoint> CompactBatches(const std::string& wal_dir,
+                                     const std::string& block_dir,
+                                     const Batches& batches,
+                                     std::size_t max_points_per_block) {
+  KeyPointWalOptions wal_options;
+  wal_options.dir = wal_dir;
+  KeyPointWal wal(wal_options);
+  EXPECT_TRUE(wal.Open().ok());
+  std::vector<KeyPoint> stored;
+  for (const auto& [device, keys] : batches) {
+    EXPECT_TRUE(wal.Append(device, keys).ok());
+    for (const KeyPoint& k : keys) {
+      stored.push_back(wal::Dequantize(wal::Quantize(k, wal_options.quant),
+                                       wal_options.quant));
+    }
+  }
+  EXPECT_TRUE(wal.Close().ok());
+
+  CompactionOptions options;
+  options.wal_dir = wal_dir;
+  options.block_dir = block_dir;
+  options.max_points_per_block = max_points_per_block;
+  Compactor compactor(options);
+  EXPECT_TRUE(compactor.CompactOnce().ok());
+  return stored;
+}
+
+std::vector<KeyPoint> BruteForce(const std::vector<KeyPoint>& stored,
+                                 Vec2 center, double radius, double t_min,
+                                 double t_max) {
+  std::vector<KeyPoint> hits;
+  for (const KeyPoint& k : stored) {
+    if (k.point.t >= t_min && k.point.t <= t_max &&
+        DistanceSq(k.point.pos, center) <= radius * radius) {
+      hits.push_back(k);
+    }
+  }
+  return Sorted(std::move(hits));
+}
+
+/// Every block that survives the exact prune is either decoded or served
+/// from the cache — never skipped, never both.
+void ExpectEveryHitServed(const RangeQueryStats& qs) {
+  EXPECT_EQ(qs.blocks_decoded + qs.blocks_cached,
+            qs.grid_candidates - qs.blocks_pruned);
+}
+
+struct RangeSpec {
+  Vec2 center;
+  double radius = 0.0;
+  double t_min = 0.0;
+  double t_max = 0.0;
+};
+
+TEST(BlockStoreTest, SecondQueryIsServedFromTheCache) {
+  const std::string wal_dir = FreshDir("blockstore_warm_wal");
+  const std::string block_dir = FreshDir("blockstore_warm_blk");
+  Batches batches;
+  for (int c = 0; c < 6; ++c) {
+    batches.emplace_back(1, MakeKeys(static_cast<uint64_t>(c) * 10, 8,
+                                     100.0 * c, 50.0 * c, 0.0));
+  }
+  const std::vector<KeyPoint> stored =
+      CompactBatches(wal_dir, block_dir, batches, 8);
+
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  EXPECT_EQ(store.cached_bytes(), 0u);
+
+  const RangeSpec q{{100.0, -5.0}, 120.0, 0.0, 1e6};
+  const std::vector<KeyPoint> expected =
+      BruteForce(stored, q.center, q.radius, q.t_min, q.t_max);
+  ASSERT_FALSE(expected.empty());
+
+  std::vector<KeyPoint> cold, warm;
+  RangeQueryStats cold_stats, warm_stats;
+  ASSERT_TRUE(
+      store.Query(q.center, q.radius, q.t_min, q.t_max, &cold, &cold_stats)
+          .ok());
+  ASSERT_TRUE(
+      store.Query(q.center, q.radius, q.t_min, q.t_max, &warm, &warm_stats)
+          .ok());
+  EXPECT_EQ(Sorted(cold), expected);
+  EXPECT_EQ(warm, cold);  // same blocks, same order
+  EXPECT_GT(cold_stats.blocks_decoded, 0u);
+  EXPECT_EQ(cold_stats.blocks_cached, 0u);
+  EXPECT_EQ(warm_stats.blocks_decoded, 0u);
+  EXPECT_EQ(warm_stats.blocks_cached, cold_stats.blocks_decoded);
+  EXPECT_EQ(warm_stats.points_scanned, cold_stats.points_scanned);
+  ExpectEveryHitServed(cold_stats);
+  ExpectEveryHitServed(warm_stats);
+  EXPECT_EQ(store.cached_bytes(),
+            cold_stats.points_scanned * sizeof(KeyPoint));
+}
+
+// Parked devices make zero-extent blocks, so the grid falls back to
+// quantum-sized (1 mm) cells; a wide query must still finish at once and
+// agree with brute force — near the origin and at UTM scale, where the
+// northing cell index (5e9) no longer fits in 32 bits.
+TEST(BlockStoreTest, ParkedDevicesWideQueryMatchesBruteForce) {
+  const std::vector<Vec2> spots = {
+      {0.0, 0.0}, {350.0, -120.0}, {-800.0, 400.0}, {5000.0, 5000.0}};
+  int run = 0;
+  for (const Vec2 origin : {Vec2{0.0, 0.0}, Vec2{500000.0, 5000000.0}}) {
+    SCOPED_TRACE(testing::Message() << "origin y " << origin.y);
+    const std::string tag = std::to_string(run++);
+    const std::string wal_dir = FreshDir("blockstore_parked_wal" + tag);
+    const std::string block_dir = FreshDir("blockstore_parked_blk" + tag);
+    Batches batches;
+    for (std::size_t d = 0; d < spots.size(); ++d) {
+      std::vector<KeyPoint> keys;
+      for (int i = 0; i < 4; ++i) {
+        KeyPoint k;
+        k.index = static_cast<uint64_t>(i);
+        k.point.t = 60.0 * i;
+        k.point.pos = {origin.x + spots[d].x, origin.y + spots[d].y};
+        keys.push_back(k);
+      }
+      batches.emplace_back(static_cast<DeviceId>(d + 1), std::move(keys));
+    }
+    const std::vector<KeyPoint> stored =
+        CompactBatches(wal_dir, block_dir, batches, 4096);
+
+    Result<BlockStore> opened = BlockStore::Open(block_dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    const BlockStore& store = opened.value();
+    ASSERT_EQ(store.block_count(), spots.size());
+
+    const Vec2 center{origin.x + 100.0, origin.y};
+    for (const double radius : {10.0, 50.0, 1200.0}) {
+      std::vector<KeyPoint> got;
+      RangeQueryStats qs;
+      ASSERT_TRUE(store.Query(center, radius, 0.0, 1e6, &got, &qs).ok());
+      EXPECT_EQ(Sorted(got), BruteForce(stored, center, radius, 0.0, 1e6))
+          << "radius " << radius;
+      ExpectEveryHitServed(qs);
+    }
+    std::vector<KeyPoint> wide;
+    ASSERT_TRUE(store.Query(center, 1200.0, 0.0, 1e6, &wide).ok());
+    EXPECT_EQ(wide.size(), 12u);  // three parked devices within reach
+  }
+}
+
+TEST(BlockStoreTest, ConcurrentQueriesMatchSingleThreadedAnswers) {
+  const std::string wal_dir = FreshDir("blockstore_mt_wal");
+  const std::string block_dir = FreshDir("blockstore_mt_blk");
+  Rng rng(91);
+  Batches batches;
+  std::vector<Vec2> pos = {{0, 0}, {2000, 0}, {0, 2000}, {2000, 2000}};
+  std::vector<double> t(pos.size(), 0.0);
+  std::vector<uint64_t> index(pos.size(), 0);
+  for (int c = 0; c < 30; ++c) {
+    for (std::size_t d = 0; d < pos.size(); ++d) {
+      std::vector<KeyPoint> keys;
+      for (int i = 0; i < 16; ++i) {
+        KeyPoint k;
+        k.index = index[d]++;
+        t[d] += rng.Uniform(1.0, 5.0);
+        pos[d].x += rng.Uniform(-25.0, 25.0);
+        pos[d].y += rng.Uniform(-25.0, 25.0);
+        k.point.t = t[d];
+        k.point.pos = pos[d];
+        keys.push_back(k);
+      }
+      batches.emplace_back(static_cast<DeviceId>(d + 1), std::move(keys));
+    }
+  }
+  const std::vector<KeyPoint> stored =
+      CompactBatches(wal_dir, block_dir, batches, 32);
+
+  std::vector<RangeSpec> queries;
+  for (int q = 0; q < 24; ++q) {
+    const Vec2 base = q % 2 == 0 ? Vec2{0, 0} : Vec2{2000, 2000};
+    const double t_lo = rng.Uniform(0.0, 1000.0);
+    queries.push_back(RangeSpec{
+        {base.x + rng.Uniform(-300.0, 300.0),
+         base.y + rng.Uniform(-300.0, 300.0)},
+        rng.Uniform(50.0, 600.0), t_lo, t_lo + rng.Uniform(100.0, 2000.0)});
+  }
+
+  // Single-threaded answers, from their own open.
+  std::vector<std::vector<KeyPoint>> expected;
+  {
+    Result<BlockStore> opened = BlockStore::Open(block_dir);
+    ASSERT_TRUE(opened.ok()) << opened.status().message();
+    for (const RangeSpec& q : queries) {
+      std::vector<KeyPoint> got;
+      ASSERT_TRUE(
+          opened.value().Query(q.center, q.radius, q.t_min, q.t_max, &got)
+              .ok());
+      got = Sorted(std::move(got));
+      EXPECT_EQ(got, BruteForce(stored, q.center, q.radius, q.t_min, q.t_max));
+      expected.push_back(std::move(got));
+    }
+  }
+
+  // Four threads race a cold store over overlapping, rotated query sets.
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<std::vector<KeyPoint>>> results(kThreads);
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th) {
+    threads.emplace_back([&, th] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < queries.size(); ++i) {
+          const RangeSpec& q =
+              queries[(i + static_cast<std::size_t>(th) * 5) % queries.size()];
+          std::vector<KeyPoint> got;
+          RangeQueryStats qs;
+          if (!store.Query(q.center, q.radius, q.t_min, q.t_max, &got, &qs)
+                   .ok() ||
+              qs.blocks_decoded + qs.blocks_cached !=
+                  qs.grid_candidates - qs.blocks_pruned) {
+            ++failures[static_cast<std::size_t>(th)];
+          }
+          results[static_cast<std::size_t>(th)].push_back(
+              Sorted(std::move(got)));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int th = 0; th < kThreads; ++th) {
+    const auto& mine = results[static_cast<std::size_t>(th)];
+    EXPECT_EQ(failures[static_cast<std::size_t>(th)], 0) << "thread " << th;
+    ASSERT_EQ(mine.size(), queries.size() * kRounds);
+    for (std::size_t k = 0; k < mine.size(); ++k) {
+      const std::size_t qi =
+          (k % queries.size() + static_cast<std::size_t>(th) * 5) %
+          queries.size();
+      EXPECT_EQ(mine[k], expected[qi]) << "thread " << th << " query " << qi;
+    }
+  }
+  EXPECT_LE(store.cached_bytes(), BlockStore::kCacheBytes);
+}
+
+TEST(BlockStoreTest, CorruptBlockFailsEveryQueryThatTouchesIt) {
+  const std::string wal_dir = FreshDir("blockstore_corrupt_wal");
+  const std::string block_dir = FreshDir("blockstore_corrupt_blk");
+  // Device 1 walks east in well-separated steps (one block each); device 2
+  // sits far away.
+  Batches batches;
+  for (int c = 0; c < 6; ++c) {
+    batches.emplace_back(1, MakeKeys(static_cast<uint64_t>(c) * 10, 5,
+                                     50.0 * c, 200.0 * c, 0.0));
+    batches.emplace_back(2, MakeKeys(static_cast<uint64_t>(c) * 10, 5,
+                                     50.0 * c, 90000.0, 90000.0));
+  }
+  const std::vector<KeyPoint> stored =
+      CompactBatches(wal_dir, block_dir, batches, 5);
+
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  const RangeSpec far{{90000.0, 90000.0}, 500.0, 0.0, 1e6};
+  {
+    std::vector<KeyPoint> got;  // warm the far cluster before the damage
+    ASSERT_TRUE(store.Query(far.center, far.radius, far.t_min, far.t_max,
+                            &got)
+                    .ok());
+  }
+
+  // Flip one payload byte of device 1's third block, on disk, after Open.
+  ASSERT_EQ(store.manifest().files.size(), 1u);
+  const ManifestBlockFile& file = store.manifest().files[0];
+  const ManifestBlockEntry* victim = nullptr;
+  int seen = 0;
+  for (const ManifestBlockEntry& entry : file.blocks) {
+    if (entry.meta.device == 1 && seen++ == 2) victim = &entry;
+  }
+  ASSERT_NE(victim, nullptr);
+  {
+    std::fstream f(block_dir + "/" + BlockFileName(file.file_id),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    const auto at = static_cast<std::streamoff>(victim->offset +
+                                                blk::kBlockHeaderBytes + 3);
+    char byte = 0;
+    f.seekg(at);
+    ASSERT_TRUE(f.read(&byte, 1));
+    byte = static_cast<char>(byte ^ 0x5a);
+    f.seekp(at);
+    ASSERT_TRUE(f.write(&byte, 1));
+  }
+  const wal::WalQuantization quant = store.manifest().quant;
+  const Vec2 victim_center{
+      0.5 * static_cast<double>(victim->meta.qx_min + victim->meta.qx_max) *
+          quant.coord_quantum,
+      0.5 * static_cast<double>(victim->meta.qy_min + victim->meta.qy_max) *
+          quant.coord_quantum};
+
+  // Every query touching the block fails — repeats too: failures are
+  // never cached.
+  const std::vector<RangeSpec> touching = {
+      {victim_center, 1.0, 0.0, 1e6},
+      {victim_center, 1.0, 0.0, 1e6},
+      {{500.0, 0.0}, 2000.0, 0.0, 1e6},
+      {{500.0, 0.0}, 2000.0, 0.0, 1e6}};
+  for (const RangeSpec& q : touching) {
+    std::vector<KeyPoint> got;
+    const Status st = store.Query(q.center, q.radius, q.t_min, q.t_max, &got);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  }
+
+  // Queries that miss it stay OK and exact: the warm far cluster, and
+  // device 1's first block (cold).
+  const std::vector<RangeSpec> clear = {
+      far, {{0.0, 0.0}, 20.0, 0.0, 1e6}, far};
+  for (const RangeSpec& q : clear) {
+    std::vector<KeyPoint> got;
+    ASSERT_TRUE(
+        store.Query(q.center, q.radius, q.t_min, q.t_max, &got).ok());
+    EXPECT_EQ(Sorted(std::move(got)),
+              BruteForce(stored, q.center, q.radius, q.t_min, q.t_max));
+  }
+}
+
+}  // namespace
+
+/// Lowers a store's cache cap so that a small store can overflow it:
+/// filling the real 64 MiB cap takes ~1.75 M points, too slow and large
+/// for the sanitizer jobs.
+class BlockStoreTestPeer {
+ public:
+  static std::size_t CacheCap(const BlockStore& store) {
+    return store.cache_cap_;
+  }
+  static void SetCacheCap(BlockStore* store, std::size_t cap) {
+    store->cache_cap_ = cap;
+  }
+};
+
+namespace {
+
+// A store bigger than the cache: the cap holds, overflow blocks are
+// decoded per query, and results stay exact.
+TEST(BlockStoreTest, CacheNeverExceedsItsCap) {
+  const std::string wal_dir = FreshDir("blockstore_cap_wal");
+  const std::string block_dir = FreshDir("blockstore_cap_blk");
+  constexpr std::size_t kCap = std::size_t{2} << 20;
+  constexpr std::size_t kDevices = 4;
+  constexpr std::size_t kBatch = 256;
+  const std::size_t total_points = kCap / sizeof(KeyPoint) * 5 / 4;
+  const std::size_t batches_per_device =
+      total_points / (kDevices * kBatch) + 1;
+
+  Rng rng(17);
+  Batches batches;
+  std::vector<Vec2> centers;
+  for (std::size_t d = 0; d < kDevices; ++d) {
+    centers.push_back({10000.0 * static_cast<double>(d), 0.0});
+  }
+  std::vector<Vec2> pos = centers;
+  std::vector<double> t(kDevices, 0.0);
+  std::vector<uint64_t> index(kDevices, 0);
+  for (std::size_t b = 0; b < batches_per_device; ++b) {
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      std::vector<KeyPoint> keys(kBatch);
+      for (KeyPoint& k : keys) {
+        k.index = index[d]++;
+        t[d] += 1.0;
+        // Pulled back toward the center so the walk stays bounded.
+        pos[d].x += rng.Uniform(-1.0, 1.0) - 1e-3 * (pos[d].x - centers[d].x);
+        pos[d].y += rng.Uniform(-1.0, 1.0) - 1e-3 * (pos[d].y - centers[d].y);
+        k.point.t = t[d];
+        k.point.pos = pos[d];
+      }
+      batches.emplace_back(static_cast<DeviceId>(d + 1), std::move(keys));
+    }
+  }
+  const std::vector<KeyPoint> stored =
+      CompactBatches(wal_dir, block_dir, batches, 4 * kBatch);
+  ASSERT_GT(stored.size() * sizeof(KeyPoint), kCap);
+
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  BlockStore& store = opened.value();
+  ASSERT_EQ(BlockStoreTestPeer::CacheCap(store), BlockStore::kCacheBytes);
+  BlockStoreTestPeer::SetCacheCap(&store, kCap);
+
+  // Two sweeps, each with a whole-device query per device plus a sliver
+  // of time; the second sweep finds the cache full.
+  uint64_t decoded[2] = {0, 0};
+  uint64_t cached[2] = {0, 0};
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    for (std::size_t d = 0; d < kDevices; ++d) {
+      const double t_end = t[d];
+      for (const RangeSpec& q :
+           {RangeSpec{centers[d], 3000.0, 0.0, t_end},
+            RangeSpec{centers[d], 40.0, 0.25 * t_end, 0.3 * t_end}}) {
+        std::vector<KeyPoint> got;
+        RangeQueryStats qs;
+        ASSERT_TRUE(
+            store.Query(q.center, q.radius, q.t_min, q.t_max, &got, &qs).ok());
+        EXPECT_LE(store.cached_bytes(), kCap);
+        EXPECT_EQ(Sorted(std::move(got)),
+                  BruteForce(stored, q.center, q.radius, q.t_min, q.t_max));
+        ExpectEveryHitServed(qs);
+        decoded[sweep] += qs.blocks_decoded;
+        cached[sweep] += qs.blocks_cached;
+      }
+    }
+  }
+  EXPECT_EQ(decoded[0] + cached[0], decoded[1] + cached[1]);
+  EXPECT_GT(cached[1], 0u);   // what fit is served from memory...
+  EXPECT_GT(decoded[1], 0u);  // ...what did not is decoded again
+  EXPECT_GT(store.cached_bytes(), kCap / 2);
 }
 
 }  // namespace

@@ -92,6 +92,58 @@ TEST(GridIndexTest, RemovalKeepsQueriesConsistent) {
   EXPECT_EQ(hits, expected);
 }
 
+// Millimetre cells and a kilometre radius: sweeping ~10^12 cells would
+// never finish, so the query walks the few occupied buckets instead. The
+// second origin is UTM-scale (northing 5,000 km), where the y cell index
+// (5e9) no longer fits in the 32 bits a cell key keeps of it. Small radii
+// take the sweep path over the same index.
+TEST(GridIndexTest, TinyCellsLargeRadiusMatchBruteForce) {
+  for (const Vec2 origin : {Vec2{0, 0}, Vec2{500000, 5000000}}) {
+    SCOPED_TRACE(testing::Message() << "origin y " << origin.y);
+    Rng rng(57);
+    GridIndex index(1e-3);
+    std::vector<std::pair<uint64_t, Vec2>> all;
+    for (uint64_t id = 0; id < 300; ++id) {
+      const Vec2 pos{origin.x + rng.Uniform(-2000, 2000),
+                     origin.y + rng.Uniform(-2000, 2000)};
+      index.Insert(id, pos);
+      all.emplace_back(id, pos);
+    }
+    for (int q = 0; q < 24; ++q) {
+      // Every fourth query is centred on a stored point with a tiny
+      // radius, so it sweeps a handful of cells and finds that point.
+      const bool tiny = q % 4 == 0;
+      const Vec2 center =
+          tiny ? all[static_cast<std::size_t>(q)].second
+               : Vec2{origin.x + rng.Uniform(-2000, 2000),
+                      origin.y + rng.Uniform(-2000, 2000)};
+      const double radius = tiny ? 1e-3 : rng.Uniform(500.0, 1500.0);
+      auto hits = index.Query(center, radius);
+      std::sort(hits.begin(), hits.end());
+      std::vector<uint64_t> expected;
+      for (const auto& [id, pos] : all) {
+        if (DistanceSq(pos, center) <= radius * radius) expected.push_back(id);
+      }
+      EXPECT_EQ(hits, expected) << "query " << q;
+      if (tiny) {
+        EXPECT_FALSE(hits.empty());
+      }
+    }
+  }
+}
+
+// The occupied-bucket walk emits cells in the same order as the sweep.
+TEST(GridIndexTest, BucketWalkKeepsSweepOrder) {
+  GridIndex index(10.0);
+  index.Insert(1, {25, 5});   // cell (2, 0)
+  index.Insert(2, {5, 25});   // cell (0, 2)
+  index.Insert(3, {5, 5});    // cell (0, 0)
+  index.Insert(4, {-5, 15});  // cell (-1, 1)
+  // 4x4 swept cells > 4 occupied: the walk path.
+  EXPECT_EQ(index.Query({12, 12}, 17.5),
+            (std::vector<uint64_t>{4, 3, 2, 1}));
+}
+
 TEST(GridIndexTest, ClearEmptiesEverything) {
   GridIndex index(10.0);
   index.Insert(1, {1, 1});
