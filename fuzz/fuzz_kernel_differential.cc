@@ -178,7 +178,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
   options.bounds_mode =
       in.Bool() ? bqs::BoundsMode::kPaperEq8 : bqs::BoundsMode::kSound;
   // Resolver 0: adaptive; 1: adaptive at threshold 1, i.e. the hull owns
-  // every segment from its first buffered point; 2: brute force.
+  // every segment from its first buffered point, so the fast kernel's
+  // squared exact-resolve verdict scans the hull's vertex run (degenerate
+  // 1-2 point hulls included) against the reference's sqrt scan; 2: brute
+  // force.
   const int resolver = in.IntIn(0, 2);
   options.exact_resolver = resolver == 2 ? bqs::ExactResolver::kBruteForce
                                          : bqs::ExactResolver::kAdaptive;

@@ -27,8 +27,11 @@ struct Counters {
   /// once-per-segment rotation estimation, which is not a per-point cost.
   std::atomic<uint64_t> atan2_calls{0};
   /// Square-root-bearing distance evaluations (hypot/sqrt) performed while
-  /// composing deviation bounds. Excludes exact resolves, which are the
-  /// inconclusive path and legitimately need real distances.
+  /// composing deviation bounds. Exact resolves are not counted: under the
+  /// fast kernel they compare squared deviations and re-scan with real
+  /// distances only on a guard-band hit (DecisionStats::kernel_fallbacks
+  /// counts those); kBruteForce and kReference keep the sqrt scan as the
+  /// reference cost profile.
   std::atomic<uint64_t> sqrt_calls{0};
   /// Full QuadrantBound significant-point recomputations.
   std::atomic<uint64_t> significant_rebuilds{0};

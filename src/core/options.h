@@ -46,10 +46,12 @@ enum class BoundKernel {
   /// Transcendental-free kernel: sign-test quadrant classification,
   /// cross-product angular-extreme tracking, cached significant points,
   /// and squared-deviation threshold tests (cross^2 vs eps^2*|end|^2 under
-  /// the line metric) with sqrt deferred to the inconclusive path. Any
-  /// comparison that lands inside a ~1e-12 relative guard band of the
-  /// threshold falls back to the reference composition for that push, so
-  /// decisions are reference-identical by construction. Default.
+  /// the line metric) — on the bounds, and on kAdaptive's exact resolves,
+  /// which run the same test as one SIMD pass over the flat buffer or the
+  /// hull's vertex run. Any comparison that lands inside a ~1e-12 relative
+  /// guard band of the threshold falls back to the reference composition
+  /// (or the sqrt scan) for that push, so decisions are reference-identical
+  /// by construction. Default.
   kFast,
   /// The seed's transcendental path: atan2 classification + angular
   /// tracking, significant points rebuilt per push, hypot-based distances
@@ -106,13 +108,20 @@ struct BqsOptions {
   ExactResolver exact_resolver = ExactResolver::kAdaptive;
 
   /// kAdaptive switch-over: segments with fewer buffered points than this
-  /// resolve brute-force; at the threshold the buffer migrates into the
-  /// Melkman hull and stays there for the segment's remainder. Default
-  /// measured on the empirical stream (bench_throughput), whose segments
-  /// peak below this: flat rescans of a few dozen points beat Melkman
-  /// maintenance (robust orientation tests per insert) until segments grow
-  /// into the hundreds, and the O(h)-resolve win only dominates on
-  /// adversarial segments growing into the thousands.
+  /// resolve by a flat buffer scan; at the threshold the buffer migrates
+  /// into the Melkman hull and stays there for the segment's remainder.
+  /// Output is identical at any threshold; only speed moves. Re-measured
+  /// with the fast kernel's sqrt-free SIMD scan (best of 9, Release, one
+  /// pinned core of a 4-vCPU x86-64 VM, epsilon 10; thresholds
+  /// 1 / 64 / 256 / 1024):
+  ///   empirical stream        38.0 / 42.2 / 44.5 / 44.9 M pts/s
+  ///   adversarial drift        3.9 /  4.0 /  3.9 /  2.9 M pts/s
+  ///   24-device fleet          196 /  166 /  158 /  150 ns/pt
+  /// 256 and 1024 are within run-to-run spread on the empirical and fleet
+  /// streams (a second run swapped their order), and 1024 loses a quarter
+  /// on the adversarial drift, whose segments grow past it: flat scans of
+  /// a few hundred points still beat Melkman maintenance (robust
+  /// orientation tests per insert), so 256 stays.
   int adaptive_resolver_threshold = 256;
 
   /// Per-point bound-maintenance kernel; see BoundKernel. kReference

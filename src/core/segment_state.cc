@@ -30,15 +30,17 @@ bool NearAxisSliver(Vec2 v) {
   return mn != 0.0 && mn <= 1e-12 * std::max(ax, ay);
 }
 
-/// Squared-domain epsilon verdict for a flat scan of buffered points
-/// against the path (a, b): +1 when the maximum deviation is definitely
-/// <= eps, -1 when definitely greater, 0 inside a ~1e-12 relative guard
-/// band of the threshold (caller recomputes with the reference scan). The
-/// per-point value is the same |cross| / squared-distance candidate the
-/// sqrt-bearing scan would feed into its max, so the verdict matches the
-/// reference comparison outside the band by monotonicity.
-int SquaredDeviationVerdict(const TrackPoint* pts, std::size_t n, Vec2 a,
-                            Vec2 b, DistanceMetric metric, double eps,
+/// Squared-domain epsilon verdict for a flat scan of points against the
+/// path (a, b): +1 when the maximum deviation is definitely <= eps, -1 when
+/// definitely greater, 0 inside a ~1e-12 relative guard band of the
+/// threshold or for a degenerate line-metric path (caller recomputes with
+/// the reference scan). The per-point value is the same |cross| /
+/// squared-distance candidate the sqrt-bearing scan would feed into its
+/// max, so the verdict matches the reference comparison outside the band
+/// by monotonicity. Serves the warm-up array, the flat exact buffer and the
+/// hull's vertex run alike.
+int SquaredDeviationVerdict(PointView pts, Vec2 a, Vec2 b,
+                            DistanceMetric metric, double eps,
                             const simd::KernelTable& kernels) {
   constexpr double kBandLo = 1.0 - 1e-12;
   constexpr double kBandHi = 1.0 + 1e-12;
@@ -50,13 +52,13 @@ int SquaredDeviationVerdict(const TrackPoint* pts, std::size_t n, Vec2 a,
     // max over |d x (p - a)| through the active SIMD tier: max over fabs
     // values is associative/commutative bitwise, so the lane-parallel
     // reduction returns the same bits as the scalar scan.
-    vmax = kernels.max_abs_cross(reinterpret_cast<const unsigned char*>(pts),
-                                 sizeof(TrackPoint), n, a.x, a.y, d.x, d.y);
+    vmax = kernels.max_abs_cross(pts.base(), pts.stride(), pts.size(), a.x,
+                                 a.y, d.x, d.y);
     vmax *= vmax;
     threshold = eps * eps * d.NormSq();
   } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      vmax = std::max(vmax, PointToSegmentDistanceSq(pts[i].pos, a, b));
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      vmax = std::max(vmax, PointToSegmentDistanceSq(pts.pos(i), a, b));
     }
     threshold = eps * eps;
   }
@@ -535,9 +537,9 @@ SegmentEngine::Decision SegmentEngine::Assess(const TrackPoint& pt,
       // reference scan only on a guard-band hit).
       int verdict = 0;
       if (fast_kernel_) {
-        verdict = SquaredDeviationVerdict(warmup_.data(), warmup_count_,
-                                          segment_start_.pos, pt.pos,
-                                          options_.metric, eps, *kernels_);
+        verdict = SquaredDeviationVerdict(
+            PointView(std::span(warmup_.data(), warmup_count_)),
+            segment_start_.pos, pt.pos, options_.metric, eps, *kernels_);
         if (verdict == 0) ++stats_.kernel_fallbacks;
       }
       if (verdict < 0) return Decision::kSplit;
@@ -719,9 +721,27 @@ SegmentEngine::Decision SegmentEngine::ResolveInconclusive(
   // (O(h), the deviation maximum is attained there) or over the flat
   // buffer (O(n): brute force, or adaptive before its migration point).
   ++stats_.exact_computations;
-  const double dev = ExactDeviation(pt.pos);  // drains the pending batch
-  stats_.exact_points_scanned += hull_active_ ? hull_.size() : buffer_.size();
-  if (dev <= options_.epsilon) {
+  if (hull_active_) DrainPendingHull();
+  const PointView exact =
+      hull_active_ ? PointView(hull_.VertexSpan()) : PointView(buffer_);
+  stats_.exact_points_scanned += exact.size();
+  // Squared-domain verdict first (no sqrt or divide per scanned point);
+  // the sqrt scan decides only what it leaves open. kBruteForce and the
+  // reference kernel keep the literal scan (they are what this path is
+  // checked against), and a set probe takes it like every other probed
+  // assessment.
+  int verdict = 0;
+  if (fast_kernel_ && options_.exact_resolver == ExactResolver::kAdaptive &&
+      !probe_) {
+    verdict = SquaredDeviationVerdict(exact, segment_start_.pos, pt.pos,
+                                      options_.metric, options_.epsilon,
+                                      *kernels_);
+    if (verdict == 0) ++stats_.kernel_fallbacks;
+  }
+  const bool within = verdict != 0
+                          ? verdict > 0
+                          : ExactDeviation(pt.pos) <= options_.epsilon;
+  if (within) {
     if (trivial) {
       ++stats_.trivial_includes;
     } else {

@@ -19,11 +19,19 @@
 // incrementally-maintained Melkman hull (O(h) resolves, O(h) space) at
 // adaptive_resolver_threshold points — at once when the threshold is 1;
 // kBruteForce keeps the paper's O(n)-per-resolve whole-buffer rescan as the
-// reference implementation the hull path is verified against.
+// reference implementation the hull path is verified against. Under the
+// fast kernel, kAdaptive decides dev <= epsilon without a square root too:
+// one SIMD max |cross| pass over the live structure (flat buffer or the
+// hull's contiguous vertex run) compared against epsilon^2 |end|^2, with
+// the sqrt-bearing scan re-run only inside the same ~1e-12 guard band (or
+// for a degenerate end, or while a probe is set). kBruteForce and the
+// reference kernel keep the literal sqrt scan: they are the references
+// this path is checked against.
 #ifndef BQS_CORE_SEGMENT_STATE_H_
 #define BQS_CORE_SEGMENT_STATE_H_
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -42,18 +50,31 @@
 namespace bqs {
 namespace internal {
 
-/// Borrowed view of track points at a fixed byte stride, in the shape the
-/// SIMD kernels take (common/simd.h): the SoA pre-rotation kernel reads the
-/// two leading coordinates through the stride directly.
+/// Borrowed view of points at a fixed byte stride, in the shape the SIMD
+/// kernels take (common/simd.h): they read the two leading coordinates
+/// through the stride directly. A view over TrackPoints (batch input,
+/// flat exact buffer, warm-up array) indexes whole points; a view over
+/// bare Vec2s (the hull's vertex run) exposes positions only.
 class PointView {
  public:
   explicit PointView(std::span<const TrackPoint> pts)
       : base_(reinterpret_cast<const unsigned char*>(pts.data())),
         stride_(sizeof(TrackPoint)),
         size_(pts.size()) {}
+  explicit PointView(std::span<const Vec2> pts)
+      : base_(reinterpret_cast<const unsigned char*>(pts.data())),
+        stride_(sizeof(Vec2)),
+        size_(pts.size()) {}
 
   const TrackPoint& operator[](std::size_t i) const {
+    assert(stride_ == sizeof(TrackPoint));
     return *reinterpret_cast<const TrackPoint*>(base_ + i * stride_);
+  }
+  /// Position of point i: the leading Vec2 of either element type.
+  const Vec2& pos(std::size_t i) const {
+    static_assert(offsetof(TrackPoint, pos) == 0,
+                  "PointView reads positions at element offset 0");
+    return *reinterpret_cast<const Vec2*>(base_ + i * stride_);
   }
   PointView Sub(std::size_t offset, std::size_t count) const {
     return PointView(base_ + offset * stride_, stride_, count);
@@ -199,6 +220,9 @@ class SegmentEngine {
   /// Conclusive-include tail (d_ub <= eps) shared by both kernels.
   Decision IncludeByUpper(const TrackPoint& pt, Vec2 rel_rot, bool trivial);
   /// Inconclusive tail: exact resolve (BQS) or aggressive split (FBQS).
+  /// The resolve drains the pending hull batch, then decides through the
+  /// squared-domain verdict (fast kernel, kAdaptive, no probe), else (and
+  /// on a guard-band hit) through ExactDeviation's sqrt scan.
   Decision ResolveInconclusive(const TrackPoint& pt, Vec2 rel_rot,
                                bool trivial);
   void IncludeNonTrivial(const TrackPoint& pt, Vec2 rel_rot);

@@ -39,8 +39,8 @@ void MelkmanHull::Clear() {
   bot_ = 0;
   top_ = 0;
   degenerate_ = true;
-  line_a_ = Vec2{};
-  line_b_ = Vec2{};
+  line_[0] = Vec2{};
+  line_[1] = Vec2{};
   points_added_ = 0;
   scale_ = 0.0;
   coarse_band_ = 0.0;
@@ -56,50 +56,48 @@ double MelkmanHull::Band(double cross, Vec2 a, Vec2 b, Vec2 c) const {
 }
 
 std::vector<Vec2> MelkmanHull::Vertices() const {
-  std::vector<Vec2> out;
-  out.reserve(size());
-  ForEachVertex([&](Vec2 v) { out.push_back(v); });
-  return out;
+  const std::span<const Vec2> verts = VertexSpan();
+  return {verts.begin(), verts.end()};
 }
 
 double MelkmanHull::MaxDeviation(Vec2 a, Vec2 b,
                                  DistanceMetric metric) const {
   double dev = 0.0;
-  ForEachVertex([&](Vec2 v) {
+  for (const Vec2 v : VertexSpan()) {
     dev = std::max(dev, PointDeviation(v, a, b, metric));
-  });
+  }
   return dev;
 }
 
 void MelkmanHull::AddDegenerate(Vec2 p) {
   if (points_added_ == 1) {
-    line_a_ = p;
-    line_b_ = p;
+    line_[0] = p;
+    line_[1] = p;
     return;
   }
-  if (line_a_ == line_b_) {
-    if (!(p == line_a_)) line_b_ = p;
+  if (line_[0] == line_[1]) {
+    if (!(p == line_[0])) line_[1] = p;
     return;
   }
-  const double turn = Turn(line_a_, line_b_, p);
-  if (std::fabs(turn) <= Band(turn, line_a_, line_b_, p)) {
+  const double turn = Turn(line_[0], line_[1], p);
+  if (std::fabs(turn) <= Band(turn, line_[0], line_[1], p)) {
     // Collinear to within floating-point resolution: keep only the chain
     // extremes. A dropped mid-chain point sits within the error band of the
     // chain itself, so MaxDeviation changes by a correspondingly negligible
     // amount; extent is always preserved via the extreme updates.
-    const Vec2 d = line_b_ - line_a_;
-    const double t = d.Dot(p - line_a_);
+    const Vec2 d = line_[1] - line_[0];
+    const double t = d.Dot(p - line_[0]);
     if (t < 0.0) {
-      line_a_ = p;
+      line_[0] = p;
     } else if (t > d.NormSq()) {
-      line_b_ = p;
+      line_[1] = p;
     }
     return;
   }
   // First point confidently off the line: seed the deque with the CCW
   // triangle.
-  Vec2 a = line_a_;
-  Vec2 b = line_b_;
+  Vec2 a = line_[0];
+  Vec2 b = line_[1];
   if (turn < 0.0) std::swap(a, b);
   const Vec2 verts[3] = {p, a, b};
   degenerate_ = false;
@@ -137,8 +135,8 @@ void MelkmanHull::RebuildWith(Vec2 p) {
     // ConvexHull returns the sorted deduplicated points here, so front and
     // back are the chain extremes.
     degenerate_ = true;
-    line_a_ = hull.empty() ? p : hull.front();
-    line_b_ = hull.empty() ? p : hull.back();
+    line_[0] = hull.empty() ? p : hull.front();
+    line_[1] = hull.empty() ? p : hull.back();
     return;
   }
   Place(hull.data(), hull.size());

@@ -16,7 +16,9 @@
 #ifndef BQS_GEOMETRY_MELKMAN_HULL_H_
 #define BQS_GEOMETRY_MELKMAN_HULL_H_
 
+#include <array>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "geometry/line2.h"
@@ -46,22 +48,18 @@ class MelkmanHull {
   std::size_t size() const {
     if (degenerate_) {
       if (points_added_ == 0) return 0;
-      return line_a_ == line_b_ ? 1 : 2;
+      return line_[0] == line_[1] ? 1 : 2;
     }
     return top_ - bot_;
   }
 
-  /// Calls f(v) for every distinct hull vertex, in CCW order (the starting
-  /// vertex is arbitrary). Collinear input visits the two chain extremes.
-  template <typename F>
-  void ForEachVertex(F&& f) const {
-    if (degenerate_) {
-      if (points_added_ == 0) return;
-      f(line_a_);
-      if (!(line_b_ == line_a_)) f(line_b_);
-      return;
-    }
-    for (std::size_t i = bot_; i < top_; ++i) f(ring_[i]);
+  /// Every distinct hull vertex, contiguous in CCW order (the starting
+  /// vertex is arbitrary). Collinear input yields the two chain extremes.
+  /// Valid until the next Add() or Clear(); the 16-byte Vec2 stride is
+  /// what lets the SIMD deviation kernels scan the hull in place.
+  std::span<const Vec2> VertexSpan() const {
+    if (degenerate_) return {line_.data(), size()};
+    return {ring_.data() + bot_, top_ - bot_};
   }
 
   /// Hull vertices in CCW order (copy; for tests and diagnostics).
@@ -105,10 +103,10 @@ class MelkmanHull {
   std::size_t top_ = 0;
 
   // Degenerate phase (fewer than 3 non-collinear points): the hull is the
-  // chain of collinear points, represented by its two extremes.
+  // chain of collinear points, represented by its two extremes (adjacent,
+  // so VertexSpan can hand them out as a run like the ring's).
   bool degenerate_ = true;
-  Vec2 line_a_{};
-  Vec2 line_b_{};
+  std::array<Vec2, 2> line_{};
   std::size_t points_added_ = 0;
 
   /// Largest |x|+|y| over all added points; coarse_band_ derived from it

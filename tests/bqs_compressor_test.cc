@@ -9,6 +9,8 @@
 #include <utility>
 
 #include "baselines/buffered_greedy.h"
+#include "common/simd.h"
+#include "simulation/datasets.h"
 #include "test_util.h"
 #include "trajectory/deviation.h"
 
@@ -570,6 +572,119 @@ TEST(BqsCompressorTest, PushBatchMatchesPushExactly) {
   }
   chunked.Finish(&chunks.keys);
   ExpectByteIdenticalKeys(single, chunks, "chunked batch");
+}
+
+TEST(BqsCompressorTest, SquaredResolveMatchesSqrtScanOnEveryTier) {
+  // The fast kernel decides adaptive exact resolves (flat buffer and hull
+  // vertex run alike) in the squared domain through the SIMD max |cross|
+  // kernel. Its decisions must be those of the literal sqrt scans it
+  // replaces — kBruteForce (same kernel) and kReference (same resolver) —
+  // on every SIMD tier, with the same exact-resolve accounting.
+  std::vector<Trajectory> streams;
+  for (auto& [device, stream] : BuildFleetDataset(3, 0.25, 1).devices) {
+    (void)device;
+    streams.push_back(std::move(stream));
+  }
+  streams.push_back(BuildAdversarialDriftDataset(0.05, 10.0).stream);
+  int configs = 0;
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    // Engines snapshot the tier at construction; clamped to the CPU.
+    const simd::ScopedForceTier force(tier);
+    for (const Trajectory& stream : streams) {
+      for (DistanceMetric metric : {DistanceMetric::kPointToLine,
+                                    DistanceMetric::kPointToSegment}) {
+        for (int threshold : {1, 256}) {
+          BqsOptions fast_options;
+          fast_options.epsilon = 10.0;
+          fast_options.metric = metric;
+          fast_options.adaptive_resolver_threshold = threshold;
+          BqsOptions brute_options = fast_options;
+          brute_options.exact_resolver = ExactResolver::kBruteForce;
+          BqsOptions reference_options = fast_options;
+          reference_options.bound_kernel = BoundKernel::kReference;
+
+          BqsCompressor fast(fast_options);
+          BqsCompressor brute(brute_options);
+          BqsCompressor reference(reference_options);
+          const CompressedTrajectory fast_out = CompressAll(fast, stream);
+          const CompressedTrajectory brute_out = CompressAll(brute, stream);
+          const CompressedTrajectory reference_out =
+              CompressAll(reference, stream);
+          ++configs;
+          SCOPED_TRACE(::testing::Message()
+                       << "tier=" << simd::TierName(tier)
+                       << " points=" << stream.size()
+                       << " metric=" << static_cast<int>(metric)
+                       << " threshold=" << threshold);
+          ExpectByteIdenticalKeys(fast_out, brute_out, "vs brute force");
+          ExpectByteIdenticalKeys(fast_out, reference_out, "vs reference");
+          EXPECT_EQ(fast.stats().exact_computations,
+                    brute.stats().exact_computations);
+          EXPECT_EQ(fast.stats().exact_computations,
+                    reference.stats().exact_computations);
+          // Same resolver, same structure: the verdict scans exactly the
+          // points the sqrt scan would have.
+          EXPECT_EQ(fast.stats().exact_points_scanned,
+                    reference.stats().exact_points_scanned);
+          EXPECT_GT(fast.stats().exact_computations, 0u);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 3 * 4 * 2 * 2);
+}
+
+TEST(BqsCompressorTest, SquaredResolveGuardBandDefersToSqrtScan) {
+  // A buffered point at exactly epsilon perpendicular distance from the
+  // start->end chord: the squared verdict lands inside its guard band, so
+  // the resolve must fall back to the sqrt scan (one kernel fallback) and
+  // decide as the references do — include, since the deviation equals
+  // epsilon rather than exceeding it.
+  //
+  // Chord (0,0)->(12,16) has length 20; B = (4,7) sits at
+  // |12*7 - 16*4| / 20 = 1 from it, the other two points at 0.5. Their
+  // bounding box leaves the quadrant bounds inconclusive at the end.
+  const Trajectory stream = {TrackPoint{{0.0, 0.0}, 0.0, {}},
+                             TrackPoint{{1.4, 2.7}, 1.0, {}},
+                             TrackPoint{{4.0, 7.0}, 2.0, {}},
+                             TrackPoint{{4.7, 7.1}, 3.0, {}},
+                             TrackPoint{{12.0, 16.0}, 4.0, {}}};
+  for (const simd::Tier tier :
+       {simd::Tier::kScalar, simd::Tier::kSse2, simd::Tier::kAvx2}) {
+    const simd::ScopedForceTier force(tier);
+    // Threshold 1: B is a vertex of the (degenerate, then full) hull;
+    // 256: B sits in the flat buffer.
+    for (int threshold : {1, 256}) {
+      BqsOptions fast_options;
+      fast_options.epsilon = 1.0;
+      fast_options.data_centric_rotation = false;
+      fast_options.adaptive_resolver_threshold = threshold;
+      BqsOptions brute_options = fast_options;
+      brute_options.exact_resolver = ExactResolver::kBruteForce;
+      BqsOptions reference_options = fast_options;
+      reference_options.bound_kernel = BoundKernel::kReference;
+
+      BqsCompressor fast(fast_options);
+      BqsCompressor brute(brute_options);
+      BqsCompressor reference(reference_options);
+      const CompressedTrajectory fast_out = CompressAll(fast, stream);
+      SCOPED_TRACE(::testing::Message() << "tier=" << simd::TierName(tier)
+                                        << " threshold=" << threshold);
+      ExpectByteIdenticalKeys(fast_out, CompressAll(brute, stream),
+                              "vs brute force");
+      ExpectByteIdenticalKeys(fast_out, CompressAll(reference, stream),
+                              "vs reference");
+      EXPECT_EQ(fast_out.size(), 2u) << "the end at exactly eps includes";
+      EXPECT_EQ(fast.stats().exact_computations, 1u);
+      EXPECT_EQ(fast.stats().exact_includes, 1u);
+      EXPECT_EQ(fast.stats().kernel_fallbacks, 1u);
+      // The literal scans have no guard band to hit.
+      EXPECT_EQ(brute.stats().exact_computations, 1u);
+      EXPECT_EQ(brute.stats().kernel_fallbacks, 0u);
+      EXPECT_EQ(reference.stats().kernel_fallbacks, 0u);
+    }
+  }
 }
 
 TEST(BqsCompressorTest, InvalidOptionsAreReported) {

@@ -19,6 +19,7 @@
 
 #include "common/fault_injector.h"
 #include "common/rng.h"
+#include "storage/block_format.h"
 #include "storage/compaction.h"
 #include "storage/keypoint_wal.h"
 #include "storage/manifest.h"
@@ -327,6 +328,62 @@ TEST(CompactionTest, CorruptManifestFallbackRecoversExactly) {
   Compactor again(options);
   ASSERT_FALSE(again.CompactOnce().ok());
   EXPECT_FALSE(again.degraded());
+}
+
+TEST(CompactionTest, RecoveryWalksSkipOrStopAtDamagedBlocks) {
+  // RecoverStore verifies each block straight from the file image it read.
+  // A damaged block costs exactly itself on the manifest walk (offsets
+  // come from the manifest), but ends the manifest-less fallback walk,
+  // which has lost the framing it steps through.
+  const auto recover = [](const std::string& wal_dir,
+                          const std::string& block_dir) {
+    Result<StoreRecovery> r = RecoverStore(wal_dir, block_dir);
+    EXPECT_TRUE(r.ok());
+    return r.value().report;
+  };
+  for (const bool truncate : {false, true}) {
+    SCOPED_TRACE(truncate ? "truncated last block" : "flipped first block");
+    const std::string wal_dir = FreshDir("compact_damage_wal");
+    const std::string block_dir = FreshDir("compact_damage_blk");
+    BuildWal(wal_dir);
+    CompactionOptions options;
+    options.wal_dir = wal_dir;
+    options.block_dir = block_dir;
+    Compactor compactor(options);
+    ASSERT_TRUE(compactor.CompactOnce().ok());
+    Manifest manifest;
+    ASSERT_TRUE(ReadManifest(block_dir, &manifest).ok());
+    ASSERT_EQ(manifest.files.size(), 1u);
+    const ManifestBlockFile& file = manifest.files[0];
+    ASSERT_EQ(file.blocks.size(), 2u);  // one block per device
+    const std::string path = block_dir + "/" + BlockFileName(file.file_id);
+    if (truncate) {
+      // Cut into the last block's payload: a short read, not a CRC miss.
+      std::filesystem::resize_file(
+          path, file.blocks[1].offset + blk::kBlockHeaderBytes + 2);
+    } else {
+      std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+      const auto at = static_cast<std::streamoff>(file.blocks[0].offset +
+                                                  blk::kBlockHeaderBytes + 1);
+      io.seekg(at);
+      const char byte = static_cast<char>(io.get());
+      io.seekp(at);
+      io.put(static_cast<char>(byte ^ 0x5a));
+    }
+
+    const StoreRecoveryReport referenced = recover(wal_dir, block_dir);
+    EXPECT_EQ(referenced.blocks_decoded, 1u);
+    EXPECT_EQ(referenced.blocks_corrupt, 1u);
+    EXPECT_FALSE(referenced.clean());
+
+    std::filesystem::remove(block_dir + "/MANIFEST");
+    const StoreRecoveryReport fallback = recover(wal_dir, block_dir);
+    EXPECT_FALSE(fallback.manifest_found);
+    // Damage in the first block stops the walk before the second; damage
+    // in the last one leaves the first decoded.
+    EXPECT_EQ(fallback.blocks_decoded, truncate ? 1u : 0u);
+    EXPECT_EQ(fallback.blocks_corrupt, 1u);
+  }
 }
 
 TEST(WalSegmentListingTest, QuarantinesDuplicatesAndTempsDeterministically) {

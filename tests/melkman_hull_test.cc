@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
 #include "geometry/convex_hull2.h"
@@ -101,6 +102,35 @@ TEST(MelkmanHullTest, CollinearStreamKeepsChainExtremes) {
   // Deviation against an arbitrary chord still sees the extremes only.
   EXPECT_DOUBLE_EQ(
       hull.MaxDeviation({0, 0}, {1, 0}, DistanceMetric::kPointToLine), 7.0);
+}
+
+TEST(MelkmanHullTest, VertexSpanIsTheContiguousVertexRunInEveryPhase) {
+  // The engine's SIMD resolve scans VertexSpan() in place at a 16-byte
+  // stride, so the span must hold exactly the distinct vertices — through
+  // the degenerate phase (0, 1, 2 points) and the Melkman ring alike.
+  MelkmanHull hull;
+  const auto expect_run = [&hull](std::size_t n) {
+    const std::span<const Vec2> run = hull.VertexSpan();
+    ASSERT_EQ(run.size(), n);
+    ASSERT_EQ(run.size(), hull.size());
+    const std::vector<Vec2> copy = hull.Vertices();
+    EXPECT_TRUE(std::equal(run.begin(), run.end(), copy.begin()));
+  };
+  expect_run(0);
+  hull.Add({1.0, 1.0});
+  expect_run(1);
+  hull.Add({1.0, 1.0});  // duplicate: still one vertex
+  expect_run(1);
+  hull.Add({4.0, 1.0});
+  expect_run(2);
+  hull.Add({2.5, 1.0});  // collinear interior: chain extremes only
+  expect_run(2);
+  hull.Add({2.0, 5.0});
+  expect_run(3);
+  for (const Vec2 p : Positions(JaggedWalk(61, 300))) hull.Add(p);
+  expect_run(hull.size());
+  hull.Clear();
+  expect_run(0);
 }
 
 TEST(MelkmanHullTest, CollinearThenOffLinePointFormsTriangle) {
