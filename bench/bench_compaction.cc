@@ -11,11 +11,12 @@
 //   recover   RecoverStore over the compacted directory pair: the gate
 //             is bit-exactness against what the WAL acked — a compactor
 //             that benches fast but perturbs data is worthless.
-//   query     range-query latency off BlockStore (bbox-pruned, decode
-//             only matching blocks) vs a full scan of every point held
-//             in memory, and the fraction of blocks decoded per query —
-//             the pruning power, also deterministic for the seeded
-//             workload. Each query runs twice on a freshly opened store:
+//   query     range-query latency off BlockStore (file, block and chunk
+//             pruned; decode only matching blocks) vs a full scan of
+//             every point held in memory, plus the fraction of blocks
+//             decoded and the points scanned per query — the pruning
+//             power, both deterministic for the seeded workload. Each
+//             query runs twice on a freshly opened store:
 //             cold (its blocks are read, verified and decoded) and warm
 //             (the same query again, served from the store's
 //             decoded-block cache). Only the warm figure compares like
@@ -23,9 +24,10 @@
 //
 // The run FAILS (exit 1) if recovery is not bit-exact or any block query
 // returns a different point set than the brute-force reference. Latency
-// is reported for trend-watching; check_perf gates only the
+// is reported for trend-watching; check_perf gates the
 // machine-independent fields (exactness, density, decoded fraction,
-// workload identity).
+// points scanned, workload identity) and one same-run latency ratio
+// (warm block query at least 5x faster than the full scan).
 //
 // Usage: bench_compaction [scale | --scale S] [--out PATH] [--dir PATH]
 #include <algorithm>
@@ -58,7 +60,7 @@ struct Workload {
 
 /// Spatially clustered fleet: each device random-walks around its own
 /// far-apart center, so block bboxes separate and pruning has something
-/// real to prune — the regime the grid index is built for.
+/// real to prune.
 Workload MakeWorkload(double scale) {
   Workload w;
   const std::size_t devices = 12;
@@ -256,6 +258,7 @@ int main(int argc, char** argv) {
   const auto query_count = static_cast<std::size_t>(64.0 * scale) + 8;
   double cold_query_s = 0.0, warm_query_s = 0.0, scan_query_s = 0.0;
   double decoded_fraction_sum = 0.0;
+  uint64_t points_scanned_sum = 0;
   bool queries_match = true;
   std::size_t total_hits = 0;
   for (std::size_t q = 0; q < query_count; ++q) {
@@ -293,6 +296,7 @@ int main(int argc, char** argv) {
             ? static_cast<double>(qstats.blocks_decoded) /
                   static_cast<double>(qstats.blocks_total)
             : 0.0;
+    points_scanned_sum += qstats.points_scanned;
 
     const auto in_range = [&](const KeyPoint& k) {
       return k.point.t >= t_lo && k.point.t <= t_hi &&
@@ -319,6 +323,9 @@ int main(int argc, char** argv) {
   }
   const double avg_decoded_fraction =
       decoded_fraction_sum / static_cast<double>(query_count);
+  const double avg_points_scanned =
+      static_cast<double>(points_scanned_sum) /
+      static_cast<double>(query_count);
   const double cold_query_us =
       1e6 * cold_query_s / static_cast<double>(query_count);
   const double warm_query_us =
@@ -327,9 +334,9 @@ int main(int argc, char** argv) {
       1e6 * scan_query_s / static_cast<double>(query_count);
   std::printf("queries: %zu queries, %zu hits   block cold %8.1f us/q   "
               "warm %8.1f us/q   full-scan %8.1f us/q   decoded %5.3f of "
-              "blocks   match %s\n",
+              "blocks   scanned %.1f pts/q   match %s\n",
               query_count, total_hits, cold_query_us, warm_query_us,
-              scan_query_us, avg_decoded_fraction,
+              scan_query_us, avg_decoded_fraction, avg_points_scanned,
               queries_match ? "yes" : "NO");
 
   bench::JsonReport json;
@@ -356,6 +363,7 @@ int main(int argc, char** argv) {
   json.Key("block_query_warm_us"), json.Value(warm_query_us);
   json.Key("full_scan_query_us"), json.Value(scan_query_us);
   json.Key("avg_decoded_block_fraction"), json.Value(avg_decoded_fraction);
+  json.Key("avg_points_scanned"), json.Value(avg_points_scanned);
   json.EndObject();
   json.WriteFile(out_path);
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -621,43 +621,84 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 
 // --- range queries --------------------------------------------------------
 
-namespace {
+void BlockStore::Bounds::Include(const Bounds& b) {
+  t0 = std::min(t0, b.t0);
+  t1 = std::max(t1, b.t1);
+  x0 = std::min(x0, b.x0);
+  x1 = std::max(x1, b.x1);
+  y0 = std::min(y0, b.y0);
+  y1 = std::max(y1, b.y1);
+}
 
-/// The per-point range filter every query runs over each candidate block.
+// Monotone in the bounds: where a file's union misses, so does every
+// block inside it.
+bool BlockStore::Bounds::Misses(Vec2 center, double radius_sq, double t_min,
+                                double t_max) const {
+  const double dx = std::max({x0 - center.x, center.x - x1, 0.0});
+  const double dy = std::max({y0 - center.y, center.y - y1, 0.0});
+  return t1 < t_min || t0 > t_max || dx * dx + dy * dy > radius_sq;
+}
+
+struct BlockStore::DecodedBlock {
+  std::vector<KeyPoint> points;  ///< Dequantized, in stored order.
+  /// chunks[c] bounds points [c * kChunkPoints, (c + 1) * kChunkPoints).
+  std::vector<Bounds> chunks;
+
+  std::size_t bytes() const {
+    return points.size() * sizeof(KeyPoint) + chunks.size() * sizeof(Bounds);
+  }
+
+  /// Appends the points in range to `out`, skipping whole chunks that
+  /// cannot hold one.
+  void Filter(Vec2 center, double radius_sq, double t_min, double t_max,
+              std::vector<KeyPoint>* out, RangeQueryStats* stats) const;
+};
+
+/// The per-point range filter every query runs over each surviving block.
 /// It dominates warm query time, and its speed moved by ~10% with where
 /// unrelated edits to this file happened to place its loop in the
 /// instruction stream. Kept out of line at a fixed 64-byte alignment so
 /// that placement no longer depends on the surrounding code.
-__attribute__((noinline, aligned(64))) void FilterPoints(
-    const std::vector<KeyPoint>& points, Vec2 center, double radius_sq,
-    double t_min, double t_max, std::vector<KeyPoint>* out,
-    RangeQueryStats* stats) {
-  stats->points_scanned += points.size();
-  for (const KeyPoint& key : points) {
-    if (key.point.t < t_min || key.point.t > t_max) continue;
-    if (DistanceSq(key.point.pos, center) > radius_sq) continue;
-    out->push_back(key);
-    ++stats->points_returned;
+///
+/// A chunk is skipped when its time span misses the window or its box's
+/// nearest point to `center` is out of range. That nearest point goes
+/// through the same DistanceSq as the points: each point's per-axis
+/// offset is at least the clamp's, and rounding is monotone, so a skipped
+/// chunk holds no point the per-point test would keep.
+__attribute__((noinline, aligned(64))) void BlockStore::DecodedBlock::Filter(
+    Vec2 center, double radius_sq, double t_min, double t_max,
+    std::vector<KeyPoint>* out, RangeQueryStats* stats) const {
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    const Bounds& box = chunks[c];
+    if (box.t1 < t_min || box.t0 > t_max) continue;
+    const Vec2 nearest{std::clamp(center.x, box.x0, box.x1),
+                       std::clamp(center.y, box.y0, box.y1)};
+    if (DistanceSq(nearest, center) > radius_sq) continue;
+    const std::size_t begin = c * kChunkPoints;
+    const std::size_t end = std::min(begin + kChunkPoints, points.size());
+    stats->points_scanned += end - begin;
+    for (std::size_t i = begin; i < end; ++i) {
+      const KeyPoint& key = points[i];
+      if (key.point.t < t_min || key.point.t > t_max) continue;
+      if (DistanceSq(key.point.pos, center) > radius_sq) continue;
+      out->push_back(key);
+      ++stats->points_returned;
+    }
   }
 }
-
-}  // namespace
 
 struct BlockStore::Cache {
   explicit Cache(std::size_t block_count) : blocks(block_count) {}
 
   Mutex mu;
-  /// Dequantized points per block id; null until cached. A filled slot
-  /// never changes again, so readers use it outside the lock.
-  std::vector<std::unique_ptr<const std::vector<KeyPoint>>> blocks
-      GUARDED_BY(mu);
+  /// Decoded blocks per block id; null until cached. A filled slot never
+  /// changes again, so readers use it outside the lock.
+  std::vector<std::unique_ptr<const DecodedBlock>> blocks GUARDED_BY(mu);
   std::size_t bytes GUARDED_BY(mu) = 0;
 };
 
-BlockStore::BlockStore(std::string dir, Manifest manifest, double cell_size)
-    : dir_(std::move(dir)),
-      manifest_(std::move(manifest)),
-      grid_(cell_size) {}
+BlockStore::BlockStore(std::string dir, Manifest manifest)
+    : dir_(std::move(dir)), manifest_(std::move(manifest)) {}
 
 BlockStore::BlockStore(BlockStore&&) noexcept = default;
 BlockStore& BlockStore::operator=(BlockStore&&) noexcept = default;
@@ -667,45 +708,35 @@ Result<BlockStore> BlockStore::Open(const std::string& block_dir) {
   Manifest manifest;
   BQS_RETURN_NOT_OK(ReadManifest(block_dir, &manifest));
 
-  // Size the grid cells to the typical block footprint so a query sweeps
-  // O(1) cells per intersecting block; the inflate radius makes the
-  // center-point index conservative (a block is findable from anywhere
-  // within half its diagonal of its center).
-  const double cq = manifest.quant.coord_quantum;
-  double max_half_diag = 0.0;
-  double extent_sum = 0.0;
-  std::size_t count = 0;
-  for (const ManifestBlockFile& file : manifest.files) {
-    for (const ManifestBlockEntry& entry : file.blocks) {
-      const double w =
-          static_cast<double>(entry.meta.qx_max - entry.meta.qx_min) * cq;
-      const double h =
-          static_cast<double>(entry.meta.qy_max - entry.meta.qy_min) * cq;
-      max_half_diag = std::max(max_half_diag, 0.5 * std::hypot(w, h));
-      extent_sum += std::max(w, h);
-      ++count;
-    }
-  }
-  const double cell =
-      count == 0 ? 500.0 : std::max(extent_sum / static_cast<double>(count),
-                                    std::max(cq, 1e-6));
-
-  BlockStore store(block_dir, std::move(manifest), cell);
-  store.inflate_ = max_half_diag;
+  BlockStore store(block_dir, std::move(manifest));
+  const double cq = store.manifest_.quant.coord_quantum;
+  const double tq = store.manifest_.quant.time_quantum;
   for (std::size_t slot = 0; slot < store.manifest_.files.size(); ++slot) {
-    const ManifestBlockFile& file = store.manifest_.files[slot];
-    for (const ManifestBlockEntry& entry : file.blocks) {
-      const uint64_t id = store.blocks_.size();
-      const Vec2 center(
-          0.5 * static_cast<double>(entry.meta.qx_min + entry.meta.qx_max) *
-              cq,
-          0.5 * static_cast<double>(entry.meta.qy_min + entry.meta.qy_max) *
-              cq);
-      store.grid_.Insert(id, center);
-      store.blocks_.push_back(BlockRef{slot, entry.offset, entry.meta});
+    FileSpan span;
+    span.first = store.blocks_.size();
+    for (const ManifestBlockEntry& entry :
+         store.manifest_.files[slot].blocks) {
+      const blk::BlockMeta& m = entry.meta;
+      // The same products the dequantized points are, so every point of
+      // a block lies inside its bounds exactly.
+      const Bounds b{static_cast<double>(m.qt_min) * tq,
+                     static_cast<double>(m.qt_max) * tq,
+                     static_cast<double>(m.qx_min) * cq,
+                     static_cast<double>(m.qx_max) * cq,
+                     static_cast<double>(m.qy_min) * cq,
+                     static_cast<double>(m.qy_max) * cq};
+      if (store.blocks_.size() == span.first) {
+        span.bounds = b;
+      } else {
+        span.bounds.Include(b);
+      }
+      store.block_bounds_.push_back(b);
+      store.blocks_.push_back(BlockRef{slot, entry.offset, m});
     }
+    span.end = store.blocks_.size();
+    store.files_.push_back(span);
   }
-  store.cache_ = std::make_unique<Cache>(count);
+  store.cache_ = std::make_unique<Cache>(store.blocks_.size());
   return store;
 }
 
@@ -714,8 +745,7 @@ std::size_t BlockStore::cached_bytes() const {
   return cache_->bytes;
 }
 
-Status BlockStore::LoadBlock(std::size_t id,
-                             std::vector<KeyPoint>* points) const {
+Status BlockStore::LoadBlock(std::size_t id, DecodedBlock* block) const {
   const BlockRef& ref = blocks_[id];
   const std::string path =
       dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
@@ -728,11 +758,22 @@ Status BlockStore::LoadBlock(std::size_t id,
   if (!(meta == ref.meta)) {
     return Status::Corruption("block metadata mismatch in " + path);
   }
-  points->clear();
-  points->reserve(static_cast<std::size_t>(meta.point_count));
+  const auto n = static_cast<std::size_t>(meta.point_count);
+  block->points.clear();
+  block->points.reserve(n);
+  block->chunks.clear();
+  block->chunks.reserve((n + kChunkPoints - 1) / kChunkPoints);
   for (const wal::WalCheckpoint& c : decoded) {
     for (const wal::WalPoint& p : c.points) {
-      points->push_back(wal::Dequantize(p, manifest_.quant));
+      const KeyPoint key = wal::Dequantize(p, manifest_.quant);
+      const double t = key.point.t, x = key.point.pos.x, y = key.point.pos.y;
+      const Bounds at{t, t, x, x, y, y};
+      if (block->points.size() % kChunkPoints == 0) {
+        block->chunks.push_back(at);
+      } else {
+        block->chunks.back().Include(at);
+      }
+      block->points.push_back(key);
     }
   }
   return Status::OK();
@@ -745,39 +786,24 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
   RangeQueryStats* const s = stats != nullptr ? stats : &local;
   *s = RangeQueryStats{};
   s->blocks_total = blocks_.size();
-
-  std::vector<uint64_t> candidates = grid_.Query(center, radius + inflate_);
-  std::sort(candidates.begin(), candidates.end());  // deterministic order
-  s->grid_candidates = candidates.size();
-
-  const double cq = manifest_.quant.coord_quantum;
-  const double tq = manifest_.quant.time_quantum;
   const double radius_sq = radius * radius;
 
-  // Exact prune: circle vs dequantized bbox, plus time-span overlap.
+  // File screen, then the exact block test, in id order.
   std::vector<std::size_t> hits;
-  hits.reserve(candidates.size());
-  for (const uint64_t id : candidates) {
-    const blk::BlockMeta& m = blocks_[static_cast<std::size_t>(id)].meta;
-    const double t0 = static_cast<double>(m.qt_min) * tq;
-    const double t1 = static_cast<double>(m.qt_max) * tq;
-    const double rx0 = static_cast<double>(m.qx_min) * cq;
-    const double rx1 = static_cast<double>(m.qx_max) * cq;
-    const double ry0 = static_cast<double>(m.qy_min) * cq;
-    const double ry1 = static_cast<double>(m.qy_max) * cq;
-    const double dx =
-        std::max({rx0 - center.x, center.x - rx1, 0.0});
-    const double dy =
-        std::max({ry0 - center.y, center.y - ry1, 0.0});
-    if (t1 < t_min || t0 > t_max || dx * dx + dy * dy > radius_sq) {
-      ++s->blocks_pruned;
-      continue;
+  for (const FileSpan& file : files_) {
+    if (file.bounds.Misses(center, radius_sq, t_min, t_max)) continue;
+    s->grid_candidates += file.end - file.first;
+    for (std::size_t id = file.first; id < file.end; ++id) {
+      if (block_bounds_[id].Misses(center, radius_sq, t_min, t_max)) {
+        ++s->blocks_pruned;
+        continue;
+      }
+      hits.push_back(id);
     }
-    hits.push_back(static_cast<std::size_t>(id));
   }
 
   // One critical section finds what is already cached.
-  std::vector<const std::vector<KeyPoint>*> cached(hits.size(), nullptr);
+  std::vector<const DecodedBlock*> cached(hits.size(), nullptr);
   {
     MutexLock lock(cache_->mu);
     for (std::size_t i = 0; i < hits.size(); ++i) {
@@ -788,20 +814,19 @@ Status BlockStore::Query(Vec2 center, double radius, double t_min,
   for (std::size_t i = 0; i < hits.size(); ++i) {
     if (cached[i] != nullptr) {
       ++s->blocks_cached;
-      FilterPoints(*cached[i], center, radius_sq, t_min, t_max, out, s);
+      cached[i]->Filter(center, radius_sq, t_min, t_max, out, s);
       continue;
     }
-    std::vector<KeyPoint> points;
-    BQS_RETURN_NOT_OK(LoadBlock(hits[i], &points));
+    auto block = std::make_unique<DecodedBlock>();
+    BQS_RETURN_NOT_OK(LoadBlock(hits[i], block.get()));
     ++s->blocks_decoded;
-    FilterPoints(points, center, radius_sq, t_min, t_max, out, s);
+    block->Filter(center, radius_sq, t_min, t_max, out, s);
     // Admit it if it fits; a concurrent query may have cached it already.
-    const std::size_t bytes = points.size() * sizeof(KeyPoint);
+    const std::size_t bytes = block->bytes();
     MutexLock lock(cache_->mu);
-    std::unique_ptr<const std::vector<KeyPoint>>& slot =
-        cache_->blocks[hits[i]];
+    std::unique_ptr<const DecodedBlock>& slot = cache_->blocks[hits[i]];
     if (slot == nullptr && cache_->bytes + bytes <= cache_cap_) {
-      slot = std::make_unique<const std::vector<KeyPoint>>(std::move(points));
+      slot = std::move(block);
       cache_->bytes += bytes;
     }
   }

@@ -56,7 +56,6 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "geometry/vec2.h"
-#include "storage/grid_index.h"
 #include "storage/keypoint_wal.h"
 #include "storage/manifest.h"
 #include "trajectory/point.h"
@@ -192,11 +191,15 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 
 struct RangeQueryStats {
   uint64_t blocks_total = 0;      ///< Live blocks in the store.
-  uint64_t grid_candidates = 0;   ///< Survived the grid-index sweep.
-  uint64_t blocks_pruned = 0;     ///< Rejected by exact bbox/time test.
+  /// Blocks that reached the exact bbox/time test: every block of the
+  /// files whose bounds union passed the file screen.
+  uint64_t grid_candidates = 0;
+  uint64_t blocks_pruned = 0;     ///< Of those, rejected by the exact test.
   uint64_t blocks_decoded = 0;    ///< Actually read + decoded by this query.
   uint64_t blocks_cached = 0;     ///< Served from the decoded-block cache.
-  uint64_t points_scanned = 0;    ///< Points inside surviving blocks.
+  /// Points in the chunks the chunk-box test kept, across every block
+  /// that passed the exact test.
+  uint64_t points_scanned = 0;
   uint64_t points_returned = 0;
 };
 
@@ -204,21 +207,33 @@ struct RangeQueryStats {
 /// spatio-temporal range queries off the compressed blocks, decoding only
 /// the ones whose bounding box can intersect the query.
 ///
-/// Pruning is two-staged: a GridIndex over block-bbox centers (queried
-/// with the radius inflated by the largest block half-diagonal, so it can
-/// never miss an intersecting block) narrows to candidates, then the
-/// exact circle-vs-bbox + time-span test decides what to decode. Returned
-/// key points are dequantized; each is within quantum/2 per axis of what
-/// the compressor emitted, so results inherit the combined
+/// Pruning has three levels. Each is conservative with respect to the
+/// next, so a query returns exactly what a scan of every point would, in
+/// (block id, stored order):
+///   1. File: Open keeps each block's dequantized bounds (time span and
+///      bbox) in one flat array, plus each manifest file's union of them.
+///      A compaction run's file covers one time slice, so a whole file is
+///      skipped when its union fails the circle-vs-bbox + time-overlap
+///      test.
+///   2. Block: the surviving files' blocks are walked in id order through
+///      the same exact test; only the blocks that pass are read.
+///   3. Chunk: a decoded block carries one box (t/x/y min and max) per
+///      kChunkPoints stored points. The per-point filter skips a chunk
+///      whose time span misses the window or whose box lies farther than
+///      `radius` from the center, measured with the per-point DistanceSq,
+///      so rounding never makes the box test stricter than the points'.
+/// Returned key points are dequantized; each is within quantum/2 per axis
+/// of what the compressor emitted, so results inherit the combined
 /// eps + quantum/2 error bound end to end.
 ///
 /// Decoded-block cache: the first query that needs a block opens its
 /// file, reads the block, verifies it (CRC, payload decode with its
 /// embedded-meta check, and meta == manifest meta), closes the file and
-/// keeps its points dequantized in memory, so later queries of the same
-/// open filter them without I/O. The cache lives as long as the store
-/// and is capped at kCacheBytes; a block that does not fit is decoded
-/// for its query and dropped (there is no eviction). Corruption
+/// keeps its points dequantized in memory with their chunk boxes, so
+/// later queries of the same open filter them without I/O. The cache
+/// lives as long as the store and is capped at kCacheBytes, points and
+/// boxes together; a block that does not fit is decoded for its query and
+/// dropped (there is no eviction). Corruption
 /// is therefore detected on a block's first touch per open: a failed
 /// read or decode is returned as an error and never cached, so every
 /// query touching that block fails again. Bytes changed on disk after a
@@ -229,11 +244,15 @@ struct RangeQueryStats {
 /// it, and a cached block is immutable until the store is destroyed.
 class BlockStore {
  public:
-  /// Decoded-block cache budget, in bytes of dequantized key points.
+  /// Decoded-block cache budget, in bytes of dequantized key points and
+  /// their chunk boxes.
   static constexpr std::size_t kCacheBytes = std::size_t{64} << 20;
 
-  /// Reads the MANIFEST and builds the pruning index. NotFound when no
-  /// manifest exists, Corruption when it fails to decode.
+  /// Stored points per chunk box of a decoded block.
+  static constexpr std::size_t kChunkPoints = 32;
+
+  /// Reads the MANIFEST and builds the flat file/block bounds. NotFound
+  /// when no manifest exists, Corruption when it fails to decode.
   static Result<BlockStore> Open(const std::string& block_dir);
 
   BlockStore(BlockStore&&) noexcept;
@@ -241,7 +260,8 @@ class BlockStore {
   ~BlockStore();
 
   /// Appends key points within `radius` of `center` (Euclidean) whose
-  /// timestamp lies in [t_min, t_max]. Touches only matching blocks.
+  /// timestamp lies in [t_min, t_max], in (block id, stored order).
+  /// Touches only matching blocks.
   Status Query(Vec2 center, double radius, double t_min, double t_max,
                std::vector<KeyPoint>* out,
                RangeQueryStats* stats = nullptr) const;
@@ -250,30 +270,48 @@ class BlockStore {
   std::size_t block_count() const { return blocks_.size(); }
   uint64_t last_applied_seq() const { return manifest_.last_applied_seq; }
 
-  /// Bytes currently held by the decoded-block cache (<= kCacheBytes).
+  /// Bytes currently held by the decoded-block cache, points and chunk
+  /// boxes (<= kCacheBytes).
   std::size_t cached_bytes() const;
 
  private:
   friend class BlockStoreTestPeer;  // lowers cache_cap_ in tests
 
+  /// Time span (s) and bbox (m) of a file, a block or a chunk.
+  struct Bounds {
+    double t0, t1, x0, x1, y0, y1;
+
+    /// Grows these bounds to cover `b`.
+    void Include(const Bounds& b);
+    /// The exact prune: circle vs bbox, plus time-span overlap.
+    bool Misses(Vec2 center, double radius_sq, double t_min,
+                double t_max) const;
+  };
   struct BlockRef {
     std::size_t file_slot = 0;  ///< Index into manifest_.files.
     uint64_t offset = 0;
     blk::BlockMeta meta;
   };
-  struct Cache;  // per-open decoded blocks (.cc)
+  /// A manifest file's blocks are ids [first, end) and lie inside `bounds`.
+  struct FileSpan {
+    std::size_t first = 0;
+    std::size_t end = 0;
+    Bounds bounds;
+  };
+  struct DecodedBlock;  // points + chunk boxes (.cc)
+  struct Cache;         // per-open decoded blocks (.cc)
 
-  BlockStore(std::string dir, Manifest manifest, double cell_size);
+  BlockStore(std::string dir, Manifest manifest);
 
   /// Reads block `id` from disk, runs every integrity check and returns
-  /// its points dequantized, in stored order.
-  Status LoadBlock(std::size_t id, std::vector<KeyPoint>* points) const;
+  /// its points dequantized, in stored order, with their chunk boxes.
+  Status LoadBlock(std::size_t id, DecodedBlock* block) const;
 
   std::string dir_;
   Manifest manifest_;
   std::vector<BlockRef> blocks_;
-  GridIndex grid_;       ///< id = index into blocks_, pos = bbox center.
-  double inflate_ = 0.0; ///< Largest block half-diagonal, metres.
+  std::vector<Bounds> block_bounds_;  ///< Indexed like blocks_.
+  std::vector<FileSpan> files_;       ///< Indexed like manifest_.files.
   std::unique_ptr<Cache> cache_;
   /// Cache budget: always kCacheBytes, except where a test lowers it so a
   /// small store can overflow the cache.

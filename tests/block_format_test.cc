@@ -97,7 +97,7 @@ TEST(BlockFormatTest, HostileInt64PatternsRoundTrip) {
     wal::WalPoint p;
     p.index = index++;  // wraps through UINT64_MAX
     p.qt = v;
-    p.qx = -v == INT64_MIN ? v : -v;
+    p.qx = v == INT64_MIN ? v : -v;
     p.qy = v;
     ckpt.points.push_back(p);
   }

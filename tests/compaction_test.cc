@@ -1,7 +1,8 @@
 // Compaction functional tests: WAL segments drain into columnar blocks
 // behind an atomic manifest, recovery off blocks ∪ WAL tail is exact,
 // failures degrade (ENOSPC) or retry (rename) per policy, and range
-// queries answer off the compressed blocks decoding only what matches —
+// queries answer off the compressed blocks — pruned by file, block and
+// chunk bounds, in (block id, stored order) — decoding only what matches
 // once per open, through a byte-capped decoded-block cache that is safe
 // under concurrent queries and never caches a block that failed a check.
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -598,6 +600,52 @@ std::vector<KeyPoint> BruteForce(const std::vector<KeyPoint>& stored,
   return Sorted(std::move(hits));
 }
 
+/// Every stored point in (block id, stored order), read straight off the
+/// block files the manifest names: block ids number the manifest's files'
+/// entries in order, and a query returns its hits in this order.
+std::vector<KeyPoint> StoredInBlockOrder(const std::string& block_dir) {
+  Manifest manifest;
+  EXPECT_TRUE(ReadManifest(block_dir, &manifest).ok());
+  std::vector<KeyPoint> points;
+  for (const ManifestBlockFile& file : manifest.files) {
+    std::ifstream in(block_dir + "/" + BlockFileName(file.file_id),
+                     std::ios::binary);
+    const std::string bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    for (const ManifestBlockEntry& entry : file.blocks) {
+      EXPECT_LE(entry.offset + blk::kBlockHeaderBytes, bytes.size());
+      if (entry.offset + blk::kBlockHeaderBytes > bytes.size()) break;
+      const uint8_t* const framed =
+          reinterpret_cast<const uint8_t*>(bytes.data()) + entry.offset;
+      blk::BlockMeta meta;
+      std::vector<wal::WalCheckpoint> decoded;
+      EXPECT_TRUE(blk::DecodeBlockPayload(
+          {framed + blk::kBlockHeaderBytes, wal::GetU32(framed)}, &meta,
+          &decoded));
+      for (const wal::WalCheckpoint& c : decoded) {
+        for (const wal::WalPoint& p : c.points) {
+          points.push_back(wal::Dequantize(p, manifest.quant));
+        }
+      }
+    }
+  }
+  return points;
+}
+
+/// The brute-force walk a query must reproduce exactly, order included.
+std::vector<KeyPoint> OrderedBruteForce(const std::vector<KeyPoint>& in_order,
+                                        Vec2 center, double radius,
+                                        double t_min, double t_max) {
+  std::vector<KeyPoint> hits;
+  for (const KeyPoint& k : in_order) {
+    if (k.point.t >= t_min && k.point.t <= t_max &&
+        DistanceSq(k.point.pos, center) <= radius * radius) {
+      hits.push_back(k);
+    }
+  }
+  return hits;
+}
+
 /// Every block that survives the exact prune is either decoded or served
 /// from the cache — never skipped, never both.
 void ExpectEveryHitServed(const RangeQueryStats& qs) {
@@ -650,14 +698,27 @@ TEST(BlockStoreTest, SecondQueryIsServedFromTheCache) {
   EXPECT_EQ(warm_stats.points_scanned, cold_stats.points_scanned);
   ExpectEveryHitServed(cold_stats);
   ExpectEveryHitServed(warm_stats);
-  EXPECT_EQ(store.cached_bytes(),
-            cold_stats.points_scanned * sizeof(KeyPoint));
+
+  // Once a query has touched every block, the cache holds each block's
+  // points plus one six-double box per started kChunkPoints chunk.
+  std::vector<KeyPoint> all;
+  ASSERT_TRUE(store.Query(q.center, 1e9, 0.0, 1e6, &all).ok());
+  EXPECT_EQ(all.size(), stored.size());
+  std::size_t expected_bytes = 0;
+  for (const ManifestBlockFile& file : store.manifest().files) {
+    for (const ManifestBlockEntry& entry : file.blocks) {
+      const auto n = static_cast<std::size_t>(entry.meta.point_count);
+      const std::size_t chunks =
+          (n + BlockStore::kChunkPoints - 1) / BlockStore::kChunkPoints;
+      expected_bytes += n * sizeof(KeyPoint) + chunks * 6 * sizeof(double);
+    }
+  }
+  EXPECT_EQ(store.cached_bytes(), expected_bytes);
 }
 
-// Parked devices make zero-extent blocks, so the grid falls back to
-// quantum-sized (1 mm) cells; a wide query must still finish at once and
-// agree with brute force — near the origin and at UTM scale, where the
-// northing cell index (5e9) no longer fits in 32 bits.
+// Parked devices make zero-extent blocks and chunk boxes; queries of
+// every width must agree with brute force, order included — near the
+// origin and at UTM scale.
 TEST(BlockStoreTest, ParkedDevicesWideQueryMatchesBruteForce) {
   const std::vector<Vec2> spots = {
       {0.0, 0.0}, {350.0, -120.0}, {-800.0, 400.0}, {5000.0, 5000.0}};
@@ -681,6 +742,8 @@ TEST(BlockStoreTest, ParkedDevicesWideQueryMatchesBruteForce) {
     }
     const std::vector<KeyPoint> stored =
         CompactBatches(wal_dir, block_dir, batches, 4096);
+    const std::vector<KeyPoint> in_order = StoredInBlockOrder(block_dir);
+    ASSERT_EQ(Sorted(in_order), Sorted(stored));
 
     Result<BlockStore> opened = BlockStore::Open(block_dir);
     ASSERT_TRUE(opened.ok()) << opened.status().message();
@@ -692,7 +755,7 @@ TEST(BlockStoreTest, ParkedDevicesWideQueryMatchesBruteForce) {
       std::vector<KeyPoint> got;
       RangeQueryStats qs;
       ASSERT_TRUE(store.Query(center, radius, 0.0, 1e6, &got, &qs).ok());
-      EXPECT_EQ(Sorted(got), BruteForce(stored, center, radius, 0.0, 1e6))
+      EXPECT_EQ(got, OrderedBruteForce(in_order, center, radius, 0.0, 1e6))
           << "radius " << radius;
       ExpectEveryHitServed(qs);
     }
@@ -700,6 +763,242 @@ TEST(BlockStoreTest, ParkedDevicesWideQueryMatchesBruteForce) {
     ASSERT_TRUE(store.Query(center, 1200.0, 0.0, 1e6, &wide).ok());
     EXPECT_EQ(wide.size(), 12u);  // three parked devices within reach
   }
+}
+
+/// Runs each query twice on one open store (cold, then warm) and expects
+/// the exact ordered brute-force answer both times.
+void ExpectOrderedParity(const BlockStore& store,
+                         const std::vector<KeyPoint>& in_order,
+                         const std::vector<RangeSpec>& queries) {
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const RangeSpec& q = queries[i];
+    const std::vector<KeyPoint> expected =
+        OrderedBruteForce(in_order, q.center, q.radius, q.t_min, q.t_max);
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<KeyPoint> got;
+      RangeQueryStats qs;
+      ASSERT_TRUE(
+          store.Query(q.center, q.radius, q.t_min, q.t_max, &got, &qs).ok());
+      EXPECT_EQ(got, expected) << "query " << i << " pass " << pass;
+      EXPECT_EQ(qs.points_returned, expected.size());
+      EXPECT_LE(qs.points_returned, qs.points_scanned);
+      ExpectEveryHitServed(qs);
+    }
+  }
+}
+
+/// A point `d2` away (squared) from a query center sits exactly on the
+/// circle of the smallest radius whose square reaches `d2`.
+double RadiusReaching(double d2) {
+  double r = std::sqrt(d2);
+  while (r * r < d2) r = std::nextafter(r, 2.0 * r + 1.0);
+  while (r > 0.0 && std::nextafter(r, 0.0) * std::nextafter(r, 0.0) >= d2) {
+    r = std::nextafter(r, 0.0);
+  }
+  return r;
+}
+
+// Blocks of 1, 31, 32, 33 and max_points_per_block points, a block whose
+// timestamps go back and forth, and parked devices whose chunks have zero
+// extent; queries include points exactly on the circle (just in and just
+// out) and exactly at t_min/t_max. Results must match a brute-force walk
+// in (block id, stored order), element for element.
+TEST(BlockStoreTest, OrderedParityAcrossChunkEdges) {
+  const std::string wal_dir = FreshDir("blockstore_chunks_wal");
+  const std::string block_dir = FreshDir("blockstore_chunks_blk");
+  constexpr std::size_t kMaxPoints = 96;
+  Rng rng(23);
+  Batches batches;
+  DeviceId device = 1;
+  // Walking devices, one block each (a single checkpoint per device).
+  for (const std::size_t n : {std::size_t{1}, std::size_t{31},
+                              std::size_t{32}, std::size_t{33}, kMaxPoints}) {
+    Vec2 pos{300.0 * static_cast<double>(device), 0.0};
+    std::vector<KeyPoint> keys;
+    for (std::size_t i = 0; i < n; ++i) {
+      KeyPoint k;
+      k.index = i;
+      k.point.t = 10.0 * static_cast<double>(i);
+      pos.x += rng.Uniform(0.5, 6.0);
+      pos.y += rng.Uniform(-4.0, 4.0);
+      k.point.pos = pos;
+      keys.push_back(k);
+    }
+    batches.emplace_back(device++, std::move(keys));
+  }
+  // Timestamps that jump back and forth inside one block (two
+  // checkpoints of 40 that pack into one 80-point block).
+  const DeviceId shuffled = device++;
+  for (int c = 0; c < 2; ++c) {
+    std::vector<KeyPoint> keys;
+    for (int i = 0; i < 40; ++i) {
+      KeyPoint k;
+      k.index = static_cast<uint64_t>(c * 40 + i);
+      k.point.t = 5.0 * static_cast<double>((c * 40 + i) * 37 % 80);
+      k.point.pos = {-500.0 + 2.0 * i, 700.0 - 3.0 * c};
+      keys.push_back(k);
+    }
+    batches.emplace_back(shuffled, std::move(keys));
+  }
+  // Parked: one device moves only in time, one not even in time.
+  for (const double dt : {7.0, 0.0}) {
+    std::vector<KeyPoint> keys;
+    for (int i = 0; i < 70; ++i) {
+      KeyPoint k;
+      k.index = static_cast<uint64_t>(i);
+      k.point.t = 100.0 + dt * i;
+      k.point.pos = {-200.0, -200.0 - 50.0 * dt};
+      keys.push_back(k);
+    }
+    batches.emplace_back(device++, std::move(keys));
+  }
+  const std::vector<KeyPoint> stored =
+      CompactBatches(wal_dir, block_dir, batches, kMaxPoints);
+  const std::vector<KeyPoint> in_order = StoredInBlockOrder(block_dir);
+  ASSERT_EQ(Sorted(in_order), Sorted(stored));
+
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  ASSERT_EQ(store.block_count(), 8u);
+
+  std::vector<RangeSpec> queries;
+  for (int i = 0; i < 40; ++i) {
+    const KeyPoint& at = in_order[static_cast<std::size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(in_order.size()) - 1))];
+    const double t_lo = rng.Uniform(-50.0, 800.0);
+    queries.push_back(RangeSpec{
+        {at.point.pos.x + rng.Uniform(-60.0, 60.0),
+         at.point.pos.y + rng.Uniform(-60.0, 60.0)},
+        rng.Uniform(0.5, 400.0), t_lo, t_lo + rng.Uniform(0.0, 600.0)});
+  }
+  // Boundaries: each stored point's distance from a shifted center is
+  // met exactly by one radius and missed by the next one down, and its
+  // timestamp is the window's closed end on either side.
+  for (std::size_t i = 0; i < in_order.size(); i += 7) {
+    const KeyPoint& k = in_order[i];
+    const Vec2 center{k.point.pos.x - 13.0, k.point.pos.y + 2.5};
+    const double r = RadiusReaching(DistanceSq(k.point.pos, center));
+    queries.push_back(RangeSpec{center, r, 0.0, 1e6});
+    queries.push_back(RangeSpec{center, std::nextafter(r, 0.0), 0.0, 1e6});
+    queries.push_back(RangeSpec{center, 1e4, k.point.t, k.point.t + 30.0});
+    queries.push_back(RangeSpec{center, 1e4, k.point.t - 30.0, k.point.t});
+    queries.push_back(RangeSpec{center, r, k.point.t, k.point.t});
+  }
+  ExpectOrderedParity(store, in_order, queries);
+
+  // A radius just short of a point excludes it; the one reaching it
+  // includes it.
+  const KeyPoint& edge = in_order.back();
+  const Vec2 off{edge.point.pos.x + 3.0, edge.point.pos.y - 4.0};
+  const double reach = RadiusReaching(DistanceSq(edge.point.pos, off));
+  std::vector<KeyPoint> in, out;
+  ASSERT_TRUE(store.Query(off, reach, 0.0, 1e6, &in).ok());
+  ASSERT_TRUE(store.Query(off, std::nextafter(reach, 0.0), 0.0, 1e6, &out)
+                  .ok());
+  EXPECT_NE(std::find(in.begin(), in.end(), edge), in.end());
+  EXPECT_EQ(std::find(out.begin(), out.end(), edge), out.end());
+
+  // Chunk boxes prune inside a block: a tight query at the start of the
+  // max-size walk scans its first chunk only.
+  const std::size_t walk_start = 1 + 31 + 32 + 33;
+  ASSERT_EQ(in_order[walk_start].index, 0u);
+  const KeyPoint& first = in_order[walk_start];
+  std::vector<KeyPoint> got;
+  RangeQueryStats qs;
+  ASSERT_TRUE(store.Query(first.point.pos, 0.25, 0.0, 1e6, &got, &qs).ok());
+  EXPECT_EQ(got, OrderedBruteForce(in_order, first.point.pos, 0.25, 0.0,
+                                   1e6));
+  EXPECT_EQ(qs.blocks_total - qs.blocks_pruned, 1u);
+  EXPECT_EQ(qs.points_scanned, BlockStore::kChunkPoints);
+}
+
+// Three compaction rounds over disjoint time slices make three block
+// files; a window inside one slice screens out the other files whole.
+TEST(BlockStoreTest, FileScreenSkipsWholeFilesInOrder) {
+  const std::string wal_dir = FreshDir("blockstore_files_wal");
+  const std::string block_dir = FreshDir("blockstore_files_blk");
+  Rng rng(5);
+  CompactionOptions options;
+  options.wal_dir = wal_dir;
+  options.block_dir = block_dir;
+  options.max_points_per_block = 40;
+  Compactor compactor(options);
+  uint64_t next_seq = 1;
+  std::vector<Vec2> pos = {{0, 0}, {400, 0}, {0, 400}};
+  std::vector<uint64_t> index(pos.size(), 0);
+  for (int round = 0; round < 3; ++round) {
+    KeyPointWalOptions wal_options;
+    wal_options.dir = wal_dir;
+    KeyPointWal wal(wal_options);
+    ASSERT_TRUE(wal.Open(next_seq).ok());
+    for (int c = 0; c < 4; ++c) {
+      for (std::size_t d = 0; d < pos.size(); ++d) {
+        std::vector<KeyPoint> keys;
+        for (int i = 0; i < 25; ++i) {
+          KeyPoint k;
+          k.index = index[d]++;
+          k.point.t = 1000.0 * round + 10.0 * (c * 25 + i) + rng.Uniform(0.0, 1.0);
+          pos[d].x += rng.Uniform(-8.0, 8.0);
+          pos[d].y += rng.Uniform(-8.0, 8.0);
+          k.point.pos = pos[d];
+          keys.push_back(k);
+        }
+        ASSERT_TRUE(wal.Append(static_cast<DeviceId>(d + 1), keys).ok());
+      }
+    }
+    next_seq = wal.next_seq();
+    ASSERT_TRUE(wal.Close().ok());
+    ASSERT_TRUE(compactor.CompactOnce().ok());
+  }
+  const std::vector<KeyPoint> in_order = StoredInBlockOrder(block_dir);
+  ASSERT_EQ(in_order.size(), 3u * 4u * 3u * 25u);
+
+  Result<BlockStore> opened = BlockStore::Open(block_dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  const std::vector<ManifestBlockFile>& files = store.manifest().files;
+  ASSERT_EQ(files.size(), 3u);
+
+  // The middle slice's window reaches the exact test with the middle
+  // file's blocks only.
+  std::vector<KeyPoint> got;
+  RangeQueryStats qs;
+  ASSERT_TRUE(store.Query({200.0, 200.0}, 5000.0, 1100.0, 1900.0, &got, &qs)
+                  .ok());
+  EXPECT_EQ(qs.grid_candidates, files[1].blocks.size());
+  EXPECT_EQ(got,
+            OrderedBruteForce(in_order, {200.0, 200.0}, 5000.0, 1100.0,
+                              1900.0));
+  EXPECT_FALSE(got.empty());
+
+  // A window spanning all three slices reaches every block, in id order.
+  std::vector<RangeSpec> queries = {{{200.0, 200.0}, 5000.0, 0.0, 1e6}};
+  for (int i = 0; i < 30; ++i) {
+    const double t_lo = rng.Uniform(-100.0, 3000.0);
+    queries.push_back(RangeSpec{{rng.Uniform(-200.0, 600.0),
+                                 rng.Uniform(-200.0, 600.0)},
+                                rng.Uniform(10.0, 500.0), t_lo,
+                                t_lo + rng.Uniform(0.0, 1500.0)});
+  }
+  ExpectOrderedParity(store, in_order, queries);
+}
+
+TEST(BlockStoreTest, EmptyManifestAnswersNothing) {
+  const std::string dir = FreshDir("blockstore_no_files");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(WriteManifest(dir, Manifest{}).ok());
+  Result<BlockStore> opened = BlockStore::Open(dir);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const BlockStore& store = opened.value();
+  EXPECT_EQ(store.block_count(), 0u);
+  std::vector<KeyPoint> got;
+  RangeQueryStats qs;
+  ASSERT_TRUE(store.Query({0.0, 0.0}, 1e9, -1e9, 1e9, &got, &qs).ok());
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(qs.grid_candidates, 0u);
+  EXPECT_EQ(qs.points_scanned, 0u);
+  EXPECT_EQ(store.cached_bytes(), 0u);
 }
 
 TEST(BlockStoreTest, ConcurrentQueriesMatchSingleThreadedAnswers) {

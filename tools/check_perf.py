@@ -92,8 +92,8 @@ report families, dispatched on the document's `schema` field:
   bqs-bench-compaction-v1
   ------------------------------------------------------------------
   Compaction-pipeline gate (bench_compaction). Drain/recover rates and
-  query latencies are reported but never gated (disk + machine). Gated,
-  all machine-independent for the seeded workload:
+  absolute query latencies are reported but never gated (disk + machine).
+  Gated, 1-5 machine-independent for the seeded workload:
   1. exactness: `recovery_exact`, `recovery_clean` and `queries_match`
      must all be true — RecoverStore reproduced the acked prefix bit
      for bit and every block-pruned range query agreed with the
@@ -102,7 +102,13 @@ report families, dispatched on the document's `schema` field:
   3. density: block `bytes_per_point` no more than 5% above baseline —
      the columnar delta codec got less dense.
   4. pruning power: `avg_decoded_block_fraction` no more than 10% above
-     baseline — the bbox/grid prune decayed toward decode-everything.
+     baseline — the file/block prune decayed toward decode-everything.
+  5. chunk pruning: `avg_points_scanned` no more than 10% above baseline
+     — the per-block chunk boxes decayed toward scan-every-point.
+  6. warm vs scan, within the fresh run: `block_query_warm_us` x 5 must
+     not exceed `full_scan_query_us`. Both run on the same machine in the
+     same process over the same in-memory points, so the ratio measures
+     the read path, not the hardware.
 
 Usage: check_perf.py <fresh.json> <baseline.json> [--tolerance 0.70]
                      [--no-normalize]
@@ -122,10 +128,14 @@ COMPACTION_SCHEMA_PREFIX = "bqs-bench-compaction"
 # density is deterministic and 5% headroom is purely for format evolution
 # landing together with a refreshed baseline.
 WAL_DENSITY_SLACK = 1.05
-# Ceiling on fresh/baseline avg_decoded_block_fraction: chunking and grid
-# sizing are deterministic, so pruning power is too; 10% headroom covers
-# block-layout evolution landing with a refreshed baseline.
+# Ceiling on fresh/baseline avg_decoded_block_fraction and
+# avg_points_scanned: block layout and chunk boxes are deterministic, so
+# pruning power is too; 10% headroom covers block-layout evolution landing
+# with a refreshed baseline.
 COMPACTION_PRUNE_SLACK = 1.10
+# A warm block query must beat the same run's full in-memory scan by this
+# factor (the margin was ~14x at scale 1 before chunk pruning).
+COMPACTION_WARM_SPEEDUP = 5.0
 SEQUENTIAL_CONFIG = "sequential"
 # Empirical-stream floor on the fraction of batch points decided by a
 # vector lane (measured ~0.84 on the paper's merged workload; the floor
@@ -420,10 +430,30 @@ def check_compaction(fresh, baseline, failures):
                         f"{COMPACTION_PRUNE_SLACK} — bbox pruning decayed")
         status = "PRUNING"
 
+    scanned = fresh.get("avg_points_scanned", float("inf"))
+    base_scanned = baseline.get("avg_points_scanned", 0.0)
+    compared += 1
+    if base_scanned > 0 and scanned > base_scanned * COMPACTION_PRUNE_SLACK:
+        failures.append(f"compaction: avg_points_scanned {scanned:.1f} above "
+                        f"baseline {base_scanned:.1f} x "
+                        f"{COMPACTION_PRUNE_SLACK} — chunk pruning decayed")
+        status = "PRUNING"
+
+    warm = fresh.get("block_query_warm_us", float("inf"))
+    scan = fresh.get("full_scan_query_us", 0.0)
+    compared += 1
+    if warm * COMPACTION_WARM_SPEEDUP > scan:
+        failures.append(f"compaction: warm block query {warm:.1f} us x "
+                        f"{COMPACTION_WARM_SPEEDUP:g} exceeds the same run's "
+                        f"full scan {scan:.1f} us — the read path no longer "
+                        "beats a scan")
+        status = "SLOW"
+
     print(f"{'compaction':>18s} / {'pipeline':<18s} "
           f"compact {fresh.get('compact_points_per_sec', 0.0) / 1e6:8.2f} "
           f"M pts/s  {density:5.2f} B/pt  "
-          f"decoded {frac:5.3f}  {status}")
+          f"decoded {frac:5.3f}  scanned {scanned:7.1f}  "
+          f"warm {warm:6.1f} us vs scan {scan:6.1f} us  {status}")
     return compared
 
 
