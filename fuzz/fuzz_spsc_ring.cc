@@ -1,7 +1,7 @@
 // Protocol fuzzer for SpscRing, the shard ingest ring whose slots own
 // their routing blocks.
 //
-// The input bytes drive an op sequence against a SpscRing<RecordBlock> on
+// The input bytes drive an op sequence against a ring of record blocks on
 // one thread — legal, since SPSC only bounds each side to at most one
 // thread — and every observable result is checked against a trivial
 // reference model (a deque of published block signatures, plus the
@@ -16,15 +16,16 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <vector>
 
 #include "fuzz_input.h"
-#include "service/record_block.h"
 #include "service/spsc_ring.h"
 #include "trajectory/point.h"
 
 namespace {
 
 using bqs_fuzz::FuzzInput;
+using Block = std::vector<bqs::FleetRecord>;
 
 #define FUZZ_CHECK(cond, ...)                                       \
   do {                                                              \
@@ -39,33 +40,27 @@ using bqs_fuzz::FuzzInput;
 constexpr int kMaxOps = 2048;
 
 /// What the model remembers about a block: enough to tell any two fills
-/// apart and to check the run directory survived the handoff.
+/// apart and to check the records' devices survived the handoff.
 struct Signature {
-  std::size_t points = 0;
-  std::size_t runs = 0;
+  std::size_t records = 0;
+  bqs::DeviceId last_device = 0;
   double first_t = 0.0;
 };
 
-Signature Sign(const bqs::RecordBlock& block) {
-  return Signature{block.points.size(), block.runs.size(),
-                   block.empty() ? 0.0 : block.points.front().t};
+Signature Sign(const Block& block) {
+  if (block.empty()) return Signature{};
+  return Signature{block.size(), block.back().device,
+                   block.front().point.t};
 }
 
 bool Same(const Signature& a, const Signature& b) {
-  return a.points == b.points && a.runs == b.runs && a.first_t == b.first_t;
-}
-
-void CheckDirectory(const bqs::RecordBlock& block, int op) {
-  std::size_t total = 0;
-  for (const bqs::DeviceRun& run : block.runs) total += run.count;
-  FUZZ_CHECK(total == block.points.size(),
-             "op=%d run directory covers %zu of %zu points", op, total,
-             block.points.size());
+  return a.records == b.records && a.last_device == b.last_device &&
+         a.first_t == b.first_t;
 }
 
 void FuzzRing(FuzzInput& in) {
   const std::size_t capacity = static_cast<std::size_t>(in.IntIn(1, 8));
-  bqs::SpscRing<bqs::RecordBlock> ring(capacity);
+  bqs::SpscRing<Block> ring(capacity);
   // One thread plays both sides; assert both role capabilities once.
   bqs::AssumeRole(ring.producer_role);
   bqs::AssumeRole(ring.consumer_role);
@@ -73,7 +68,7 @@ void FuzzRing(FuzzInput& in) {
 
   std::deque<Signature> model;  ///< Published, not yet popped.
   std::size_t staged = 0;       ///< Records sitting in the tail slot.
-  bqs::RecordBlock* held = nullptr;  ///< The consumer's last popped slot.
+  Block* held = nullptr;        ///< The consumer's last popped slot.
   Signature held_sign;
   bool stopped = false;
   double next_t = 0.0;
@@ -85,7 +80,7 @@ void FuzzRing(FuzzInput& in) {
       case 0:
       case 1:
       case 2: {  // fill the tail slot in place
-        bqs::RecordBlock& block = ring.back();
+        Block& block = ring.back();
         FUZZ_CHECK(&block != held, "op=%d tail slot is the held slot", op);
         FUZZ_CHECK(block.size() == staged, "op=%d tail has %zu, staged %zu",
                    op, block.size(), staged);
@@ -97,10 +92,9 @@ void FuzzRing(FuzzInput& in) {
           pt.pos = {in.Step(100.0), in.Step(100.0)};
           pt.t = next_t;
           next_t += 1.0;
-          block.Append(device, pt);
+          block.push_back(bqs::FleetRecord{device, pt});
         }
         staged = block.size();
-        CheckDirectory(block, op);
         break;
       }
       case 3:
@@ -127,7 +121,7 @@ void FuzzRing(FuzzInput& in) {
       case 6:
       case 7: {  // pop: blocking only when an item is there or stopped
         if (model.empty() && !stopped) break;
-        if (held != nullptr) held->Clear();  // done with the previous one
+        if (held != nullptr) held->clear();  // done with the previous one
         held = ring.Pop();
         if (model.empty()) {
           FUZZ_CHECK(held == nullptr, "op=%d stopped+empty Pop returned item",
@@ -138,12 +132,13 @@ void FuzzRing(FuzzInput& in) {
                    op, model.size());
         held_sign = Sign(*held);
         FUZZ_CHECK(Same(held_sign, model.front()),
-                   "Pop op=%d got (%zu pts, %zu runs, t=%g) want (%zu, %zu, "
-                   "%g)",
-                   op, held_sign.points, held_sign.runs, held_sign.first_t,
-                   model.front().points, model.front().runs,
+                   "Pop op=%d got (%zu records, device %llu, t=%g) want (%zu, "
+                   "%llu, %g)",
+                   op, held_sign.records,
+                   static_cast<unsigned long long>(held_sign.last_device),
+                   held_sign.first_t, model.front().records,
+                   static_cast<unsigned long long>(model.front().last_device),
                    model.front().first_t);
-        CheckDirectory(*held, op);
         model.pop_front();
         break;
       }
@@ -168,7 +163,7 @@ void FuzzRing(FuzzInput& in) {
   // Drain: everything the model holds must still come out in order.
   ring.Stop();
   while (!model.empty()) {
-    if (held != nullptr) held->Clear();
+    if (held != nullptr) held->clear();
     held = ring.Pop();
     FUZZ_CHECK(held != nullptr, "drain: ring empty, model has %zu",
                model.size());

@@ -52,8 +52,7 @@ FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
       std::max<std::size_t>(options_.max_pending_blocks, 1);
   options_.wal_checkpoint_points =
       std::max<std::size_t>(options_.wal_checkpoint_points, 1);
-  eager_accounting_ = options_.memory_budget_bytes > 0;
-  if (eager_accounting_) {
+  if (options_.memory_budget_bytes > 0) {
     per_shard_budget_ = std::max<std::size_t>(
         options_.memory_budget_bytes / shard_count, 1);
   }
@@ -62,8 +61,7 @@ FleetEngine::FleetEngine(const FleetEngineOptions& options, FleetSink& sink)
   shedding_ = !inline_ && options_.overload.policy != OverloadPolicy::kBlock;
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(sink_, options_.max_pending_blocks));
+    shards_.push_back(std::make_unique<Shard>(options_.max_pending_blocks));
   }
   if (!inline_) {
     for (auto& shard : shards_) {
@@ -104,7 +102,7 @@ bool FleetEngine::Submit(Shard& shard, ShardCommand::Kind kind,
 }
 
 void FleetEngine::Seal(Shard& shard) {
-  if (shard.ring.back().empty()) return;
+  if (shard.ring.back().records.empty()) return;
   ++shard.blocks_dispatched;
   Submit(shard, ShardCommand::Kind::kBlock);
 }
@@ -123,7 +121,9 @@ void FleetEngine::IngestBatch(std::span<const FleetRecord> records) {
     return;
   }
   if (inline_) {
-    InlineDispatch(records);
+    Shard& shard = *shards_[0];
+    AssumeWorker(shard);  // inline mode: no worker thread exists
+    Dispatch(shard, records);
   } else {
     RouteSharded(records);
   }
@@ -147,9 +147,9 @@ void FleetEngine::RouteSharded(std::span<const FleetRecord> records) {
   batch_shed_ = false;
   for (const FleetRecord& record : records) {
     Shard& shard = *shards_[ShardOf(record.device)];
-    RecordBlock& block = shard.ring.back();
-    if (block.empty()) block.points.reserve(cap);  // grows once per slot
-    block.Append(record.device, record.point);
+    std::vector<FleetRecord>& block = shard.ring.back().records;
+    if (block.empty()) block.reserve(cap);  // grows once per slot
+    block.push_back(record);
     if (block.size() >= cap) {
       if (shedding_) {
         SealForIngest(shard, deadline);
@@ -167,7 +167,7 @@ void FleetEngine::RouteSharded(std::span<const FleetRecord> records) {
 
 void FleetEngine::SealForIngest(Shard& shard,
                                 SpscRing<ShardCommand>::Deadline deadline) {
-  ShardCommand& block = shard.ring.back();
+  std::vector<FleetRecord>& block = shard.ring.back().records;
   if (block.empty()) return;
   // A fired kRingFull fault makes the ring look full without waiting for
   // the worker to actually fall behind — the deterministic trigger the
@@ -210,53 +210,47 @@ void FleetEngine::SealForIngest(Shard& shard,
     shard.shed.ring_full += count;
   }
   batch_shed_ = true;
-  block.Clear();  // the tail slot refills in place, capacity reused
+  block.clear();  // the tail slot refills in place, capacity reused
 }
 
-bool FleetEngine::CompactByDevice(Shard& shard, RecordBlock& block) {
+bool FleetEngine::CompactByDevice(Shard& shard,
+                                  std::vector<FleetRecord>& block) {
   const double rate = options_.overload.device_rate_per_second;
   double burst = options_.overload.device_burst;
   if (burst <= 0.0) burst = std::max(rate * 2.0, 1.0);
   const uint64_t seed = options_.overload.shed_seed;
-  std::vector<TrackPoint>& points = block.points;
-  shard.run_scratch.clear();
   std::size_t read = 0;
   std::size_t write = 0;
   uint64_t shed = 0;
-  for (const DeviceRun& run : block.runs) {
-    DeviceTokenBucket& bucket = shard.buckets[run.device];
+  while (read < block.size()) {
+    // One grant per maximal same-device run; survivors of earlier
+    // compactions sit back to back, so a device whose runs were split by a
+    // fully shed neighbour is granted once for the merged run.
+    const DeviceId device = block[read].device;
+    std::size_t end = read + 1;
+    while (end < block.size() && block[end].device == device) ++end;
+    const uint32_t count = static_cast<uint32_t>(end - read);
+    DeviceTokenBucket& bucket = shard.buckets[device];
     // Refill on the run's newest stream time; the grant is a pure
     // function of (seed, feed, configuration) — wall-clock never enters.
-    const double t = points[read + run.count - 1].t;
-    const uint64_t salt =
-        seed ^ MixDeviceId(run.device) ^ (shard.shed_events++);
-    const uint32_t keep = bucket.Grant(t, run.count, rate, burst, salt);
+    const double t = block[end - 1].point.t;
+    const uint64_t salt = seed ^ MixDeviceId(device) ^ (shard.shed_events++);
+    const uint32_t keep = bucket.Grant(t, count, rate, burst, salt);
     // Keep the run's oldest `keep` records (per-device order preserved).
-    for (uint32_t k = 0; k < keep; ++k) points[write + k] = points[read + k];
-    if (keep > 0) {
-      if (!shard.run_scratch.empty() &&
-          shard.run_scratch.back().device == run.device) {
-        shard.run_scratch.back().count += keep;
-      } else {
-        shard.run_scratch.push_back(DeviceRun{run.device, keep});
-      }
-    }
-    shed += run.count - keep;
+    for (uint32_t k = 0; k < keep; ++k) block[write + k] = block[read + k];
+    shed += count - keep;
     write += keep;
-    read += run.count;
+    read = end;
   }
   if (shed == 0) return false;
-  points.resize(write);
-  block.runs.swap(shard.run_scratch);
+  block.resize(write);
   shard.shed.records += shed;
   shard.shed.rate_limited += shed;
   return true;
 }
 
-void FleetEngine::InlineDispatch(std::span<const FleetRecord> records) {
-  Shard& shard = *shards_[0];
-  AssumeWorker(shard);  // inline mode: no worker thread exists
-
+void FleetEngine::Dispatch(Shard& shard,
+                           std::span<const FleetRecord> records) {
   // Grouped routing: append each maximal same-device run to the device's
   // window group (DeviceSlotMap lookup once per run, not per record), so a
   // device scattered across hundreds of short bursts reaches the
@@ -270,21 +264,21 @@ void FleetEngine::InlineDispatch(std::span<const FleetRecord> records) {
     const DeviceId device = records[i].device;
     std::size_t j = i + 1;
     while (j < records.size() && records[j].device == device) ++j;
-    std::vector<TrackPoint>& points =
-        GroupFor(shard, device)->points;
+    std::vector<TrackPoint>& points = GroupFor(shard, device)->points;
     for (std::size_t k = i; k < j; ++k) points.push_back(records[k].point);
     pending += j - i;
     i = j;
     if (pending >= window) {
-      FlushInlineGroups(shard);
+      FlushWindow(shard);
       pending = 0;
     }
   }
-  // Inline mode never defers work past the IngestBatch that delivered it.
-  FlushInlineGroups(shard);
+  // Nothing is deferred past the call that delivered it: inline mode
+  // finishes within its IngestBatch, a worker within its block.
+  if (pending > 0) FlushWindow(shard);
 }
 
-void FleetEngine::FlushInlineGroups(Shard& shard) {
+void FleetEngine::FlushWindow(Shard& shard) {
   DispatchGroups(shard);
   if (options_.idle_timeout_seconds > 0.0) CloseIdleSessions(shard);
 }
@@ -342,22 +336,9 @@ FleetStats FleetEngine::Stats() {
     // The shard is drained: the seq_cst completed==enqueued read makes the
     // worker's writes visible and — with the single-producer API keeping
     // new work out — exclusive to this thread until the next Submit.
-    if (!eager_accounting_) {
-      // Lazy accounting: the run fast path skipped StateBytes entirely, so
-      // compute the live footprint here, where it is actually asked for.
-      std::size_t live = 0;
-      for (const auto& [device, session] : shard.sessions) {
-        (void)device;
-        live += kSessionBaseBytes + session.compressor->StateBytes();
-      }
-      shard.state_bytes = live;
-      shard.counters.peak_state_bytes =
-          std::max(shard.counters.peak_state_bytes,
-                   shard.state_bytes + shard.pool_bytes);
-    }
     const FleetStats& c = shard.counters;
     total.records_ingested += c.records_ingested;
-    total.key_points_emitted += shard.sink.emitted();
+    total.key_points_emitted += c.key_points_emitted;
     total.sessions_opened += c.sessions_opened;
     total.sessions_finished += c.sessions_finished;
     total.sessions_evicted += c.sessions_evicted;
@@ -456,7 +437,7 @@ void FleetEngine::WorkerLoop(Shard& shard) {
       injector->WaitStallReleased();
     }
     Execute(shard, *cmd);
-    cmd->Clear();  // the slot's next Pop hands it back to the producer
+    cmd->records.clear();  // the slot's next Pop hands it back to the producer
     shard.completed.fetch_add(1, std::memory_order_seq_cst);
     if (shard.caller_waiting.load(std::memory_order_seq_cst)) {
       MutexLock lock(shard.idle_mu);
@@ -468,7 +449,7 @@ void FleetEngine::WorkerLoop(Shard& shard) {
 void FleetEngine::Execute(Shard& shard, const ShardCommand& cmd) {
   switch (cmd.kind) {
     case ShardCommand::Kind::kBlock:
-      ProcessBlock(shard, cmd);
+      Dispatch(shard, cmd.records);
       break;
     case ShardCommand::Kind::kFinishDevice:
       if (shard.sessions.contains(cmd.device)) {
@@ -488,27 +469,7 @@ void FleetEngine::Execute(Shard& shard, const ShardCommand& cmd) {
   }
 }
 
-void FleetEngine::ProcessBlock(Shard& shard, const RecordBlock& block) {
-  const TrackPoint* points = block.points.data();
-  if (block.runs.size() == 1) {
-    // Single-device block: dispatch straight from block memory, no regroup.
-    DispatchRun(shard, block.runs[0].device,
-                std::span<const TrackPoint>(points, block.runs[0].count));
-  } else {
-    // Regroup the block's runs per device (one window per block): the
-    // extra memmove per point buys one PushBatch per device instead of
-    // one per burst — the same trade the inline router makes.
-    for (const DeviceRun& run : block.runs) {
-      std::vector<TrackPoint>& pts = GroupFor(shard, run.device)->points;
-      pts.insert(pts.end(), points, points + run.count);
-      points += run.count;
-    }
-    DispatchGroups(shard);
-  }
-  if (options_.idle_timeout_seconds > 0.0) CloseIdleSessions(shard);
-}
-
-RouteGroup* FleetEngine::GroupFor(Shard& shard, DeviceId device) {
+FleetEngine::RouteGroup* FleetEngine::GroupFor(Shard& shard, DeviceId device) {
   uint32_t slot = shard.group_of_device.Lookup(device);
   if (slot == DeviceSlotMap::kAbsent) {
     slot = static_cast<uint32_t>(shard.used_groups.size());
@@ -535,15 +496,24 @@ void FleetEngine::DispatchGroups(Shard& shard) {
 void FleetEngine::DispatchRun(Shard& shard, DeviceId device,
                               std::span<const TrackPoint> points) {
   Session& session = SessionFor(shard, device);
-  shard.sink.set_device(device);
-  shard.sink.set_stage(options_.wal != nullptr ? &session.staged : nullptr);
-  session.compressor->PushBatchTo(points, shard.sink);
+  session.compressor->PushBatch(points, &shard.keys);
+  EmitKeys(shard, device, session);
   ++shard.counters.coalesced_runs;
   shard.counters.records_ingested += points.size();
   shard.counters.max_device_backlog =
       std::max(shard.counters.max_device_backlog, points.size());
   AfterRun(shard, session, device, points.back().t);
   MaybeInjectEvict(shard, device);  // `session` may dangle past this call
+}
+
+void FleetEngine::EmitKeys(Shard& shard, DeviceId device, Session& session) {
+  shard.counters.key_points_emitted += shard.keys.size();
+  if (options_.wal != nullptr) {
+    session.staged.insert(session.staged.end(), shard.keys.begin(),
+                          shard.keys.end());
+  }
+  for (const KeyPoint& key : shard.keys) sink_.OnKeyPoint(device, key);
+  shard.keys.clear();
 }
 
 void FleetEngine::MaybeInjectEvict(Shard& shard, DeviceId device) {
@@ -571,14 +541,11 @@ FleetEngine::Session& FleetEngine::SessionFor(Shard& shard, DeviceId device) {
     session.compressor = factory_.Make();
   }
   ++shard.counters.sessions_opened;
-  if (eager_accounting_) {
-    session.accounted_bytes =
-        kSessionBaseBytes + session.compressor->StateBytes();
-    shard.state_bytes += session.accounted_bytes;
-    shard.counters.peak_state_bytes = std::max(
-        shard.counters.peak_state_bytes,
-        shard.state_bytes + shard.pool_bytes);
-  }
+  session.accounted_bytes =
+      kSessionBaseBytes + session.compressor->StateBytes();
+  shard.state_bytes += session.accounted_bytes;
+  shard.counters.peak_state_bytes = std::max(
+      shard.counters.peak_state_bytes, shard.state_bytes + shard.pool_bytes);
   return shard.sessions.emplace(device, std::move(session)).first->second;
 }
 
@@ -592,10 +559,6 @@ void FleetEngine::AfterRun(Shard& shard, Session& session, DeviceId device,
       session.staged.size() >= options_.wal_checkpoint_points) {
     CheckpointSession(shard, device, session);
   }
-  if (!eager_accounting_) return;  // the lazy fast path: no StateBytes calls
-  if (session.last_active != 0) shard.lru.erase(session.last_active);
-  session.last_active = ++shard.activity_clock;
-  shard.lru.emplace(session.last_active, device);
   const std::size_t now_bytes =
       kSessionBaseBytes + session.compressor->StateBytes();
   shard.state_bytes = shard.state_bytes - session.accounted_bytes + now_bytes;
@@ -603,6 +566,10 @@ void FleetEngine::AfterRun(Shard& shard, Session& session, DeviceId device,
   shard.counters.peak_state_bytes =
       std::max(shard.counters.peak_state_bytes,
                shard.state_bytes + shard.pool_bytes);
+  if (per_shard_budget_ == 0) return;  // the rest is the budget's own work
+  if (session.last_active != 0) shard.lru.erase(session.last_active);
+  session.last_active = ++shard.activity_clock;
+  shard.lru.emplace(session.last_active, device);
   // Recovery half of the eps ladder: once pressure clears the hysteresis
   // headroom, a degraded session steps one rung back down at its next
   // block boundary (here), re-tightening the reported bound.
@@ -627,14 +594,12 @@ void FleetEngine::CloseSession(Shard& shard, DeviceId device,
                                SessionEndReason reason) {
   auto it = shard.sessions.find(device);
   Session& session = it->second;
-  shard.sink.set_device(device);
-  shard.sink.set_stage(options_.wal != nullptr ? &session.staged : nullptr);
-  session.compressor->FinishTo(shard.sink);
+  session.compressor->Finish(&shard.keys);
+  EmitKeys(shard, device, session);
   // The closing key points are staged now: make the whole session durable
   // before it disappears. Every close reason takes this path, so finish,
   // idle sweep and memory eviction all checkpoint.
   CheckpointSession(shard, device, session);
-  shard.sink.set_stage(nullptr);  // the staging buffer dies with `session`
   if (const DecisionStats* stats = session.compressor->decision_stats()) {
     AccumulateDecisionStats(shard.counters.decisions, *stats);
   }
@@ -652,10 +617,8 @@ void FleetEngine::CloseSession(Shard& shard, DeviceId device,
       ++shard.counters.sessions_idled;
       break;
   }
-  if (eager_accounting_) {
-    shard.state_bytes -= session.accounted_bytes;
-    if (session.last_active != 0) shard.lru.erase(session.last_active);
-  }
+  shard.state_bytes -= session.accounted_bytes;
+  if (session.last_active != 0) shard.lru.erase(session.last_active);
   // Recycled compressors keep their heap capacity across Reset(), so a
   // pooled unit still costs real memory: charge it to pool_bytes (counted
   // against the budget), and never pool past the budget — idle sweeps and
@@ -667,7 +630,7 @@ void FleetEngine::CloseSession(Shard& shard, DeviceId device,
   // options), so they are destroyed too.
   const std::size_t unit_bytes = session.compressor->StateBytes();
   const bool fits_budget =
-      !eager_accounting_ ||
+      per_shard_budget_ == 0 ||
       shard.state_bytes + shard.pool_bytes + unit_bytes <= per_shard_budget_;
   if (reason != SessionEndReason::kEvicted && session.eps_level == 0 &&
       fits_budget &&
@@ -751,9 +714,8 @@ void FleetEngine::ReseatSession(Shard& shard, DeviceId device,
   // guarantee; the stream then continues on a compressor minted at the
   // new rung's epsilon. The old compressor is destroyed outright — this
   // is the step that actually returns heap to the budget.
-  shard.sink.set_device(device);
-  shard.sink.set_stage(options_.wal != nullptr ? &session.staged : nullptr);
-  session.compressor->FinishTo(shard.sink);
+  session.compressor->Finish(&shard.keys);
+  EmitKeys(shard, device, session);
   // A reseat closes the compressed segment under the old bound — a
   // durability edge like any close: checkpoint what the old compressor
   // emitted before the stream continues under the new epsilon.

@@ -13,27 +13,32 @@
 // record than compressing the record once the fast kernel landed):
 //
 //   IngestBatch(records)
-//        │  router: one pass, coalescing consecutive same-device records
-//        │  into DeviceRuns while writing points into the RecordBlock of
-//        │  the shard ring's unpublished tail slot
+//        │  router: one pass, copying each record into the record block
+//        │  of its shard ring's unpublished tail slot
 //        ▼
 //   bounded SPSC ring per shard whose slots own their blocks (the single
 //   copy of the pipeline); edge-triggered condvar wakes, backpressure
 //   when max_pending_blocks behind
 //        ▼
-//   shard worker: dispatches the head slot's block in place — for each
-//   device, one PushBatchTo into the compressor's SoA fast path — then
-//   clears it; the slot comes round again with its capacity intact, so
-//   steady state allocates nothing.
+//   shard worker: runs the head slot's block through the grouped
+//   dispatcher, then clears it; the slot comes round again with its
+//   capacity intact, so steady state allocates nothing.
+//
+// The grouped dispatcher is the one way records reach a compressor. It
+// finds each maximal same-device run, appends it to the device's group for
+// the current window (one DeviceSlotMap lookup per run), and at each
+// window boundary (window = block_capacity records) hands every group to
+// its session as one PushBatch in first-seen order, then sweeps idle
+// sessions. A device interleaved into hundreds of short bursts still
+// reaches its compressor as a handful of dispatches. The key points each
+// call produces land in one per-shard scratch vector; one helper counts
+// them, stages them for the WAL and forwards them to the FleetSink.
 //
 // Inline mode (the single-shard shortcut): num_shards <= 1 bypasses
-// threads and queues entirely and compresses on the caller thread inside
-// IngestBatch. A one-worker pipeline cannot beat the caller doing the work
-// itself — it only adds a copy, a handoff and a cache round trip — so one
-// shard IS the inline case. The inline router group-coalesces a window of
-// records (window size = block_capacity) per device through a
-// DeviceSlotMap, so a device interleaved into hundreds of short bursts
-// still reaches the compressor as a handful of PushBatch dispatches. That
+// threads and queues entirely; IngestBatch runs the grouped dispatcher on
+// the caller thread over the caller's records. A one-worker pipeline
+// cannot beat the caller doing the work itself — it only adds a copy, a
+// handoff and a cache round trip — so one shard IS the inline case. That
 // is the embedded/single-core deployment shape; everything else about the
 // engine (sessions, budgets, stats, sinks) behaves identically, and
 // FinishDevice/FinishAll run through the same command executor the worker
@@ -100,7 +105,6 @@
 #include "eval/algorithms.h"
 #include "service/device_slot_map.h"
 #include "service/overload_policy.h"
-#include "service/record_block.h"
 #include "service/spsc_ring.h"
 #include "trajectory/compressor.h"
 #include "trajectory/point.h"
@@ -164,9 +168,9 @@ struct FleetEngineOptions {
   /// capacity survives Reset(). 0 = unbounded. A shard over its share
   /// first drops pooled compressors, then finalizes least-recently-active
   /// sessions (SessionEndReason::kEvicted) until back under budget;
-  /// memory-evicted compressors are destroyed, not pooled. Setting a
-  /// budget switches session accounting from lazy (computed at Stats()
-  /// time, zero per-run cost) to eager (updated after every run).
+  /// memory-evicted compressors are destroyed, not pooled. Sessions are
+  /// charged after every run either way; a budget adds the LRU index, the
+  /// eps ladder and eviction on top.
   std::size_t memory_budget_bytes = 0;
 
   /// Sessions whose last record is older than this many seconds of stream
@@ -245,10 +249,10 @@ struct FleetStats {
 
   // --- ingest pipeline counters (all zero in inline mode except
   // coalesced_runs, which counts inline dispatches too) -------------------
-  /// Coalesced single-device dispatches into the PushBatch fast path:
-  /// consecutive-run spans from the block pipeline, window-grouped spans
-  /// from the inline router. records_ingested / coalesced_runs is the mean
-  /// dispatch length — the number that says how much coalescing bought.
+  /// Coalesced single-device dispatches into the PushBatch fast path: one
+  /// per device per dispatch window. records_ingested / coalesced_runs is
+  /// the mean dispatch length — the number that says how much coalescing
+  /// bought.
   uint64_t coalesced_runs = 0;
   uint64_t blocks_dispatched = 0;  ///< Sealed blocks handed to workers.
   /// Times a shard worker found its ring empty and slept; edge-triggered
@@ -311,9 +315,8 @@ struct FleetStats {
   std::size_t pooled_bytes = 0;
   /// Sum over shards of each shard's own peak of (state + pooled) bytes.
   /// Per-shard peaks need not co-occur, so this is an upper bound on the
-  /// true simultaneous fleet peak, not the peak itself. Without a memory
-  /// budget the accounting is lazy, so this tracks peaks as observed at
-  /// Stats() calls and session events rather than after every run.
+  /// true simultaneous fleet peak, not the peak itself. Measured after
+  /// every run and session event.
   std::size_t peak_state_bytes = 0;
   /// Sum of per-session DecisionStats (closed + live sessions); meaningful
   /// for the BQS family, all-zero otherwise.
@@ -363,16 +366,10 @@ class FleetEngine {
   void Flush();
 
   /// Seals partial blocks, drains in-flight work, then returns aggregate
-  /// counters.
-  ///
-  /// Accounting modes (the lazy-vs-eager contract the stats tests pin):
-  /// without a memory budget, live-session footprint is computed *lazily*
-  /// — here, after the drain — so state_bytes is exact at return but
-  /// peak_state_bytes only advances at Stats() calls and session events.
-  /// With a budget the engine accounts *eagerly* after every run and the
-  /// peak is run-accurate. Either way the snapshot reflects every record
-  /// from ingests that happened-before this call (the drain guarantees
-  /// visibility, Flush() likewise), and all cumulative counters —
+  /// counters. Sessions are charged after every run, so state_bytes is
+  /// exact and peak_state_bytes run-accurate. The snapshot reflects every
+  /// record from ingests that happened-before this call (the drain
+  /// guarantees visibility, Flush() likewise), and all cumulative counters —
   /// records_*, blocks_*, *_waits, shed/degrade counts, peaks — are
   /// monotone non-decreasing across snapshots.
   FleetStats Stats();
@@ -394,13 +391,22 @@ class FleetEngine {
   std::size_t ShardOf(DeviceId device) const;
 
  private:
-  /// One slot of a shard's ingest ring: a routing block the slot owns
-  /// (filled and dispatched in place, reused on every wrap), or a
-  /// finalization command riding an empty block, in submission order.
-  struct ShardCommand : RecordBlock {
+  /// One slot of a shard's ingest ring: a block of routed records the
+  /// slot owns (filled and dispatched in place, reused on every wrap), or
+  /// a finalization command riding an empty block, in submission order.
+  struct ShardCommand {
     enum class Kind : uint8_t { kBlock, kFinishDevice, kFinishAll };
     Kind kind = Kind::kBlock;
     DeviceId device = 0;  ///< kFinishDevice target.
+    std::vector<FleetRecord> records;
+  };
+
+  /// One device's accumulation group inside a dispatch window: all of the
+  /// device's runs gathered so its compressor sees one PushBatch per
+  /// window. Pooled slot-indexed; capacity reused.
+  struct RouteGroup {
+    DeviceId device = 0;
+    std::vector<TrackPoint> points;
   };
 
   /// One live device stream.
@@ -408,7 +414,7 @@ class FleetEngine {
     std::unique_ptr<StreamCompressor> compressor;
     uint64_t last_active = 0;        ///< Shard activity clock at last record.
     double last_t = 0.0;             ///< Stream time of the last record.
-    std::size_t accounted_bytes = 0; ///< Current charge (eager mode only).
+    std::size_t accounted_bytes = 0; ///< Charge as of the last run.
     /// Eps-coarsening rung: 0 = base epsilon, k = eps_ladder[k-1] scale.
     /// Non-zero sessions run a re-minted compressor and are never pooled.
     uint32_t eps_level = 0;
@@ -416,31 +422,6 @@ class FleetEngine {
     /// Dropped, not checkpointed, if the engine is destroyed with the
     /// session live — same contract as the sink's closing key points.
     std::vector<KeyPoint> staged;
-  };
-
-  /// KeyPointSink forwarding to the FleetSink under the device id currently
-  /// being processed; also counts emissions for FleetStats.
-  class ShardSink final : public KeyPointSink {
-   public:
-    explicit ShardSink(FleetSink& fleet) : fleet_(fleet) {}
-    void set_device(DeviceId device) { device_ = device; }
-    /// WAL staging buffer of the session being dispatched (nullptr = no
-    /// WAL). Rebound alongside set_device at every dispatch — the pointer
-    /// is only valid for the duration of one compressor call, since the
-    /// session table may rehash between dispatches.
-    void set_stage(std::vector<KeyPoint>* stage) { stage_ = stage; }
-    uint64_t emitted() const { return emitted_; }
-    void Emit(const KeyPoint& key) override {
-      ++emitted_;
-      if (stage_ != nullptr) stage_->push_back(key);
-      fleet_.OnKeyPoint(device_, key);
-    }
-
-   private:
-    FleetSink& fleet_;
-    DeviceId device_ = 0;
-    std::vector<KeyPoint>* stage_ = nullptr;
-    uint64_t emitted_ = 0;
   };
 
   /// One shard: the producer-side routing state, the SPSC ring whose slots
@@ -458,8 +439,7 @@ class FleetEngine {
   ///    protocol, stated to the compiler. In inline mode there is no
   ///    worker and the caller holds both roles.
   struct Shard {
-    Shard(FleetSink& fleet, std::size_t ring_depth)
-        : ring(ring_depth), sink(fleet) {}
+    explicit Shard(std::size_t ring_depth) : ring(ring_depth) {}
 
     /// Capability of the single API-caller (routing) thread.
     ThreadRole producer_role;
@@ -479,8 +459,6 @@ class FleetEngine {
     /// stream time so grants replay deterministically from the feed.
     std::unordered_map<DeviceId, DeviceTokenBucket> buckets
         GUARDED_BY(producer_role);
-    /// Compaction scratch: the surviving run directory being rebuilt.
-    std::vector<DeviceRun> run_scratch GUARDED_BY(producer_role);
     /// Monotone salt for seeded stochastic token rounding.
     uint64_t shed_events GUARDED_BY(producer_role) = 0;
     /// Shed accounting, mirrored into FleetStats at Stats() time.
@@ -520,14 +498,16 @@ class FleetEngine {
     /// unique, the activity clock is monotone). Maintained only under a
     /// memory budget; gives O(log S) LRU eviction instead of an O(S) scan.
     std::map<uint64_t, DeviceId> lru GUARDED_BY(worker_role);
-    ShardSink sink GUARDED_BY(worker_role);
+    /// Key points of the compressor call being dispatched; drained by
+    /// EmitKeys after every call.
+    std::vector<KeyPoint> keys GUARDED_BY(worker_role);
     /// Bulk-close staging.
     std::vector<DeviceId> device_scratch GUARDED_BY(worker_role);
     uint64_t activity_clock GUARDED_BY(worker_role) = 0;
     /// Newest record time seen.
     double max_stream_t GUARDED_BY(worker_role) = 0.0;
     bool has_stream_t GUARDED_BY(worker_role) = false;
-    /// Live-session total (eager) or last Stats() snapshot (lazy).
+    /// Live-session total.
     std::size_t state_bytes GUARDED_BY(worker_role) = 0;
     /// Heap held by pooled units.
     std::size_t pool_bytes GUARDED_BY(worker_role) = 0;
@@ -572,10 +552,11 @@ class FleetEngine {
   /// use Seal() — draining never loses data.
   void SealForIngest(Shard& shard, SpscRing<ShardCommand>::Deadline deadline)
       REQUIRES(shard.producer_role, shard.ring.producer_role);
-  /// kShedByDevice: compacts `block` through the per-device token buckets
-  /// (over-rate suffixes shed, survivors kept in place to re-queue with
-  /// the next seal). Returns true when any record was shed.
-  bool CompactByDevice(Shard& shard, RecordBlock& block)
+  /// kShedByDevice: compacts `block` through the per-device token buckets,
+  /// one grant per maximal same-device run (over-rate suffixes shed,
+  /// survivors kept in place to re-queue with the next seal). Returns true
+  /// when any record was shed.
+  bool CompactByDevice(Shard& shard, std::vector<FleetRecord>& block)
       REQUIRES(shard.producer_role);
   void SealAll();
   /// Blocks until the shard has processed every enqueued command. The
@@ -589,8 +570,13 @@ class FleetEngine {
   void Execute(Shard& shard, const ShardCommand& cmd)
       REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
   void RouteSharded(std::span<const FleetRecord> records);
-  void InlineDispatch(std::span<const FleetRecord> records);
-  void FlushInlineGroups(Shard& shard)
+  /// The grouped dispatcher: groups `records` per device in windows of
+  /// block_capacity records and dispatches each window. Inline IngestBatch
+  /// runs it over the caller's span, a worker over each block.
+  void Dispatch(Shard& shard, std::span<const FleetRecord> records)
+      REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
+  /// Closes a window: DispatchGroups, then the idle sweep when configured.
+  void FlushWindow(Shard& shard)
       REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
   /// The device's accumulation group for the current window (creating and
   /// binding a pooled slot on first sight).
@@ -600,15 +586,18 @@ class FleetEngine {
   /// window.
   void DispatchGroups(Shard& shard)
       REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
-  void ProcessBlock(Shard& shard, const RecordBlock& block)
-      REQUIRES(shard.worker_role, shard.group_of_device.owner_role);
   void DispatchRun(Shard& shard, DeviceId device,
                    std::span<const TrackPoint> points)
       REQUIRES(shard.worker_role);
+  /// Counts the key points in `shard.keys`, stages them for the WAL when
+  /// one is configured, forwards them to the FleetSink, then clears them.
+  void EmitKeys(Shard& shard, DeviceId device, Session& session)
+      REQUIRES(shard.worker_role);
   Session& SessionFor(Shard& shard, DeviceId device)
       REQUIRES(shard.worker_role);
-  /// Post-run session bookkeeping: activity clock / LRU / stream time /
-  /// eager accounting, each only when the configured feature needs it.
+  /// Post-run session bookkeeping: stream time, WAL checkpoint and the
+  /// session's charge always; LRU, eps-ladder recovery and EnforceBudget
+  /// under a memory budget.
   void AfterRun(Shard& shard, Session& session, DeviceId device,
                 double last_t) REQUIRES(shard.worker_role);
   void NoteStreamTime(Shard& shard, double t) REQUIRES(shard.worker_role);
@@ -638,7 +627,6 @@ class FleetEngine {
   FleetSink& sink_;
   CompressorFactory factory_;
   bool inline_ = false;
-  bool eager_accounting_ = false;    ///< True iff a memory budget is set.
   bool shedding_ = false;  ///< kShed* policy active (sharded mode only).
   std::size_t per_shard_budget_ = 0; ///< 0 = unbounded.
   std::vector<std::unique_ptr<Shard>> shards_;

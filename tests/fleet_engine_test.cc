@@ -5,6 +5,7 @@
 // aggregation, and ingest-chunking independence.
 #include "service/fleet_engine.h"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -503,8 +504,8 @@ TEST(FleetEngineTest, InlineModeCompressesSynchronously) {
 TEST(FleetEngineTest, StatsSnapshotsAreMonotoneAndDrainVisible) {
   // The Stats() contract: every cumulative counter and peak is monotone
   // non-decreasing across snapshots, and a snapshot after Flush() (or
-  // Stats' own drain) reflects every record ingested before it — in both
-  // accounting modes, lazy (no budget) and eager (budget set).
+  // Stats' own drain) reflects every record ingested before it — with and
+  // without a memory budget.
   const FleetDataset fleet = BuildFleetDataset(6, 0.05, 7400);
   for (const std::size_t budget : {std::size_t{0}, std::size_t{1} << 20}) {
     CollectingSink sink;
@@ -563,6 +564,55 @@ TEST(FleetEngineTest, StatsSnapshotsAreMonotoneAndDrainVisible) {
   }
 }
 
+TEST(FleetEngineTest, PeakStateIsChargedAfterEveryRunWithoutABudget) {
+  // No budget and no pool: the peak can only come from the per-run charge,
+  // since by the time Stats() runs every session is closed and nothing is
+  // pooled. A BQS session buffers its open segment, so its footprint grows
+  // past the base charge while it runs; the peak must be exactly the
+  // largest footprint after any of its dispatches.
+  const Trajectory stream = testing_util::JaggedWalk(7450, 10000);
+  const AlgorithmConfig config = ConfigFor(AlgorithmId::kBqs);
+  // Reference: the same compressor fed the same dispatch windows (one
+  // device, so each window of block_capacity records is one PushBatch).
+  FleetEngineOptions options;
+  options.algorithm = config;
+  options.max_pooled_compressors = 0;
+  std::size_t expected = 0;
+  {
+    auto reference = MakeStreamCompressor(config);
+    std::vector<KeyPoint> discard;
+    expected = reference->StateBytes();
+    for (std::size_t i = 0; i < stream.size();
+         i += options.block_capacity) {
+      const std::size_t n =
+          std::min(options.block_capacity, stream.size() - i);
+      reference->PushBatch(
+          std::span<const TrackPoint>(stream.data() + i, n), &discard);
+      expected = std::max(expected, reference->StateBytes());
+    }
+  }
+  ASSERT_GT(expected, 0u);
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{2}}) {
+    CollectingSink sink;
+    options.num_shards = shards;
+    FleetEngine engine(options, sink);
+    std::vector<FleetRecord> records;
+    records.reserve(stream.size());
+    for (const TrackPoint& pt : stream) records.push_back({5, pt});
+    engine.IngestBatch(records);
+    engine.FinishAll();
+    const FleetStats stats = engine.Stats();
+    EXPECT_EQ(stats.live_sessions, 0u);
+    EXPECT_EQ(stats.state_bytes, 0u);
+    EXPECT_EQ(stats.pooled_bytes, 0u);
+    EXPECT_GT(stats.peak_state_bytes, FleetEngine::kSessionBaseBytes)
+        << "shards " << shards;
+    EXPECT_EQ(stats.peak_state_bytes,
+              FleetEngine::kSessionBaseBytes + expected)
+        << "shards " << shards;
+  }
+}
+
 TEST(FleetEngineTest, EvictedDeviceReappearsWithByteIdenticalSessions) {
   // Budget eviction is not the end of a device: its next record opens a
   // fresh session transparently. Each of the device's sessions must be
@@ -605,7 +655,7 @@ TEST(FleetEngineTest, EvictedDeviceReappearsWithByteIdenticalSessions) {
             (std::vector<SessionEndReason>{SessionEndReason::kEvicted,
                                            SessionEndReason::kFinished}));
   // Session 1 closed with its full compressed output (eviction finalizes
-  // through the same FinishTo path), session 2 compressed from scratch.
+  // through the same Finish path), session 2 compressed from scratch.
   auto reference = MakeStreamCompressor(config);
   std::vector<KeyPoint> expected = CompressAll(*reference, first).keys;
   reference->Reset();

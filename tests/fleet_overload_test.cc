@@ -199,6 +199,15 @@ TEST(FleetOverloadTest, ShedByDeviceRateLimitsHotDeviceNotColdDevice) {
   EXPECT_EQ(stats.shed_rate_limited, stats.records_shed)
       << "compaction found an over-rate device, so no block shed whole";
   EXPECT_EQ(stats.records_ingested + stats.records_shed, feed.size());
+  // The schedule is deterministic: kRingFull fires on the first six seals
+  // whatever the threads do, the 21 blocks fit the 64-deep rings, and with
+  // no latency budget nothing waits on the clock. So the shed accounting
+  // and the hot device's output are pinned exactly: the token buckets
+  // shed the hot device's first 83 records, and what survived of its
+  // straight-line stream compresses to its first and last survivors.
+  EXPECT_EQ(stats.records_shed, 83u);
+  EXPECT_EQ(stats.shed_rate_limited, 83u);
+  EXPECT_EQ(stats.records_ingested, 322u);
 
   // The cold device never exceeded its rate: nothing of its stream was
   // shed, so its compressed output matches the sequential reference.
@@ -206,6 +215,10 @@ TEST(FleetOverloadTest, ShedByDeviceRateLimitsHotDeviceNotColdDevice) {
   ASSERT_TRUE(keys.contains(kCold));
   EXPECT_EQ(keys.at(kCold),
             ReferenceKeys(ConfigFor(AlgorithmId::kBqs), cold_stream));
+  ASSERT_TRUE(keys.contains(kHot));
+  EXPECT_EQ(keys.at(kHot), (std::vector<KeyPoint>{KeyPoint{hot_stream[83], 0},
+                                                  KeyPoint{hot_stream[399],
+                                                           316}}));
 }
 
 TEST(FleetOverloadTest, LatencyBudgetBoundsIngestWhenWorkerStalls) {

@@ -8,11 +8,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "service/record_block.h"
+#include "trajectory/point.h"
 
 namespace bqs {
 namespace {
@@ -21,6 +22,24 @@ using Clock = std::chrono::steady_clock;
 
 /// A deadline that has already passed: Publish becomes a non-blocking try.
 constexpr Clock::time_point kExpired = Clock::time_point::min();
+
+/// Polls one of `ring`'s wait counters until it is non-zero. Past a 30 s
+/// deadline it records a failure and stops the ring, which releases a
+/// thread blocked on either side, so a protocol bug fails the test instead
+/// of hanging it. False on timeout; the caller then joins and returns.
+template <typename T>
+bool AwaitFirstWait(SpscRing<T>& ring, uint64_t (SpscRing<T>::*waits)() const) {
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(30);
+  while ((ring.*waits)() == 0) {
+    if (Clock::now() >= deadline) {
+      ADD_FAILURE() << "the ring registered no wait within 30 s";
+      ring.Stop();
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 template <typename T>
 bool Offer(SpscRing<T>& ring, T value) {
@@ -98,32 +117,33 @@ TEST(SpscRingTest, CapacityClampedToAtLeastOne) {
 }
 
 TEST(SpscRingTest, SlotBlocksKeepTheirHeapAcrossWraps) {
-  // The engine's ownership model: each slot owns a RecordBlock that the
-  // producer fills in place and the consumer clears in place, so after the
-  // first lap every slot serves every later lap from the same heap.
-  SpscRing<RecordBlock> ring(2);
+  // The engine's ownership model: each slot owns a block of records that
+  // the producer fills in place and the consumer clears in place, so after
+  // the first lap every slot serves every later lap from the same heap.
+  SpscRing<std::vector<FleetRecord>> ring(2);
   AssumeRole(ring.producer_role);
   AssumeRole(ring.consumer_role);
   constexpr int kRecords = 64;
-  std::vector<const TrackPoint*> first_lap;
+  std::vector<const FleetRecord*> first_lap;
   for (int lap = 0; lap < 200; ++lap) {
-    RecordBlock& block = ring.back();
+    std::vector<FleetRecord>& block = ring.back();
     ASSERT_TRUE(block.empty()) << "lap " << lap;
     for (int i = 0; i < kRecords; ++i) {
-      block.Append(static_cast<DeviceId>(i % 3),
-                   TrackPoint{{static_cast<double>(i), 0.0},
-                              static_cast<double>(lap)});
+      block.push_back(FleetRecord{static_cast<DeviceId>(i % 3),
+                                  TrackPoint{{static_cast<double>(i), 0.0},
+                                             static_cast<double>(lap)}});
     }
-    const TrackPoint* data = block.points.data();
+    const FleetRecord* data = block.data();
     ASSERT_TRUE(ring.Publish());
-    RecordBlock* popped = ring.Pop();
+    std::vector<FleetRecord>* popped = ring.Pop();
     ASSERT_NE(popped, nullptr);
-    EXPECT_EQ(popped->points.data(), data);  // consumed where it was filled
+    EXPECT_EQ(popped->data(), data);  // consumed where it was filled
     ASSERT_EQ(popped->size(), static_cast<std::size_t>(kRecords));
-    EXPECT_EQ(popped->points.front().t, static_cast<double>(lap));
-    const std::size_t capacity = popped->points.capacity();
-    popped->Clear();
-    EXPECT_EQ(popped->points.capacity(), capacity);
+    EXPECT_EQ(popped->front().point.t, static_cast<double>(lap));
+    EXPECT_EQ(popped->back().device, static_cast<DeviceId>((kRecords - 1) % 3));
+    const std::size_t capacity = popped->capacity();
+    popped->clear();
+    EXPECT_EQ(popped->capacity(), capacity);
     // capacity + 2 slots: after one lap every later lap reuses a slot.
     if (first_lap.size() < 4) {
       first_lap.push_back(data);
@@ -168,7 +188,10 @@ TEST(SpscRingTest, BackpressureBlocksProducerUntilConsumerPops) {
   });
 
   // The producer must block: it cannot make progress past the full ring.
-  while (ring.producer_waits() == 0) std::this_thread::yield();
+  if (!AwaitFirstWait(ring, &SpscRing<int>::producer_waits)) {
+    producer.join();
+    return;
+  }
   EXPECT_EQ(pushed.load(), 0);
 
   // Draining releases it; everything arrives in order.
@@ -192,7 +215,10 @@ TEST(SpscRingTest, StopWhileFullReleasesBlockedProducerWithFalse) {
     result.store(Put(ring, 43));  // blocks: ring is full
     returned.store(true);
   });
-  while (ring.producer_waits() == 0) std::this_thread::yield();
+  if (!AwaitFirstWait(ring, &SpscRing<int>::producer_waits)) {
+    producer.join();
+    return;
+  }
   EXPECT_FALSE(returned.load());
 
   ring.Stop();
@@ -219,7 +245,10 @@ TEST(SpscRingTest, StopWakesConsumerBlockedOnEmpty) {
     result.store(Take(ring, out));  // blocks: ring is empty
     returned.store(true);
   });
-  while (ring.consumer_waits() == 0) std::this_thread::yield();
+  if (!AwaitFirstWait(ring, &SpscRing<int>::consumer_waits)) {
+    consumer.join();
+    return;
+  }
   EXPECT_FALSE(returned.load());
   ring.Stop();
   consumer.join();
@@ -234,7 +263,10 @@ TEST(SpscRingTest, BlockedConsumerWakesOnPublish) {
     ASSERT_TRUE(Take(ring, out));
     got.store(out);
   });
-  while (ring.consumer_waits() == 0) std::this_thread::yield();
+  if (!AwaitFirstWait(ring, &SpscRing<int>::consumer_waits)) {
+    consumer.join();
+    return;
+  }
   ASSERT_TRUE(Put(ring, 99));
   consumer.join();
   EXPECT_EQ(got.load(), 99);
@@ -294,7 +326,7 @@ TEST(SpscRingTest, PublishWithDeadlineSucceedsWhenConsumerPopsInTime) {
   ASSERT_TRUE(Offer(ring, 1));
   std::thread consumer([&] {
     // Wait until the producer is actually parked, then free the slot.
-    while (ring.producer_waits() == 0) std::this_thread::yield();
+    if (!AwaitFirstWait(ring, &SpscRing<int>::producer_waits)) return;
     int out = 0;
     ASSERT_TRUE(Take(ring, out));
   });

@@ -16,7 +16,7 @@ fi
 build_dir=$1
 mode=$2
 repeats=${3:-50}
-suites='fleet_engine_test|fleet_stress_test|fleet_overload_test|fleet_storage_health_test|spsc_ring_test|record_block_test'
+suites='fleet_engine_test|fleet_stress_test|fleet_overload_test|fleet_storage_health_test|spsc_ring_test'
 
 busy_pids=()
 stop_busy() {
