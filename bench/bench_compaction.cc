@@ -2,8 +2,11 @@
 //
 // Measures the WAL -> columnar-block pipeline end to end:
 //
-//   compact   points/sec through Compactor::CompactOnce over a freshly
-//             written multi-segment WAL, plus the storage density of the
+//   compact   points/sec through Compactor::CompactOnce, run each time a
+//             WAL segment seals while the workload is written and once
+//             more after the WAL closes, so the store ends up with one
+//             block file per run and the queries below exercise
+//             BlockStore's file screen; plus the storage density of the
 //             published blocks in bytes per key point (the columnar
 //             delta codec's figure of merit, deterministic for the
 //             seeded workload) and the compression vs the WAL's own
@@ -22,8 +25,9 @@
 //             decoded-block cache). Only the warm figure compares like
 //             with like against the in-memory scan.
 //
-// The run FAILS (exit 1) if recovery is not bit-exact or any block query
-// returns a different point set than the brute-force reference. Latency
+// The run FAILS (exit 1) if recovery is not bit-exact, any block query
+// returns a different point set than the brute-force reference, or the
+// compaction runs published fewer than 3 block files. Latency
 // is reported for trend-watching; check_perf gates the
 // machine-independent fields (exactness, density, decoded fraction,
 // points scanned, workload identity) and one same-run latency ratio
@@ -166,15 +170,29 @@ int main(int argc, char** argv) {
               workload.checkpoints.size(), workload.total_points,
               workload.centers.size());
 
-  // --- write the WAL (setup, not measured) -------------------------------
+  // --- write the WAL, compacting as segments seal (compaction measured) --
   KeyPointWalOptions wal_options;
   wal_options.dir = wal_dir;
   wal_options.segment_bytes = std::size_t{64} << 10;
+  CompactionOptions copts;
+  copts.wal_dir = wal_dir;
+  copts.block_dir = block_dir;
+  Compactor compactor(copts);
+  double compact_s = 0.0;
+  const auto compact = [&](uint64_t max_segment_exclusive) {
+    const auto begin = std::chrono::steady_clock::now();
+    if (Status st = compactor.CompactOnce(max_segment_exclusive); !st.ok()) {
+      Die("compact", st);
+    }
+    compact_s += Seconds(begin, std::chrono::steady_clock::now());
+  };
   std::vector<wal::WalCheckpoint> acked;
   acked.reserve(workload.checkpoints.size());
+  uint64_t wal_bytes = 0;
   {
     KeyPointWal walog(wal_options);
     if (Status st = walog.Open(); !st.ok()) Die("wal open", st);
+    uint64_t active = walog.current_segment_index();
     for (const auto& [device, keys] : workload.checkpoints) {
       const Result<WalAppendAck> ack = walog.Append(device, keys);
       if (!ack.ok()) Die("wal append", ack.status());
@@ -186,22 +204,20 @@ int main(int argc, char** argv) {
         cp.points.push_back(wal::Quantize(key, wal_options.quant));
       }
       acked.push_back(std::move(cp));
+      if (walog.current_segment_index() != active) {  // a segment sealed
+        active = walog.current_segment_index();
+        compact(active);
+      }
     }
     if (Status st = walog.Close(); !st.ok()) Die("wal close", st);
+    // Segment headers plus record bytes: what the WAL held on disk.
+    const KeyPointWalStats wstats = walog.stats();
+    wal_bytes = wstats.bytes_appended +
+                wstats.segments_opened * wal::kSegmentHeaderBytes;
   }
-  const uint64_t wal_bytes = DirBytes(wal_dir);
-
-  // --- compact (measured) ------------------------------------------------
-  CompactionOptions copts;
-  copts.wal_dir = wal_dir;
-  copts.block_dir = block_dir;
-  Compactor compactor(copts);
-  const auto compact_begin = std::chrono::steady_clock::now();
-  if (Status st = compactor.CompactOnce(); !st.ok()) Die("compact", st);
-  const auto compact_end = std::chrono::steady_clock::now();
+  compact(UINT64_MAX);  // the last segment, now closed
   const CompactionStats cstats = compactor.stats();
   const uint64_t block_bytes = DirBytes(block_dir);
-  const double compact_s = Seconds(compact_begin, compact_end);
   const double compact_pps =
       compact_s > 0 ? static_cast<double>(cstats.points_compacted) / compact_s
                     : 0.0;
@@ -373,6 +389,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_compaction: FAILED — recovery or query results "
                  "diverged from the acked reference\n");
+    return 1;
+  }
+  if (cstats.block_files_written < 3) {
+    std::fprintf(stderr,
+                 "bench_compaction: FAILED — %llu block file(s) written, "
+                 "fewer than the 3 the file screen needs to be exercised\n",
+                 static_cast<unsigned long long>(cstats.block_files_written));
     return 1;
   }
   return 0;

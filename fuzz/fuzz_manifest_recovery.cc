@@ -211,7 +211,7 @@ void FuzzBlockRoundTrip(FuzzInput& in) {
   bqs::blk::BlockMeta encoded_meta;
   bqs::blk::EncodeBlock(run, &framed, &encoded_meta);
   const std::span<const uint8_t> payload =
-      AsSpan(framed).subspan(bqs::blk::kBlockHeaderBytes);
+      AsSpan(framed).subspan(bqs::wal::kFrameHeaderBytes);
 
   bqs::blk::BlockMeta meta;
   std::vector<bqs::wal::WalCheckpoint> out;

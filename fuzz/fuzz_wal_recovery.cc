@@ -99,7 +99,7 @@ void CheckReportConsistency(std::span<const uint8_t> image,
     bqs::wal::EncodeRecord(cp, &encoded);
     bqs::wal::WalCheckpoint round;
     const bool ok = bqs::wal::DecodeRecordPayload(
-        AsSpan(encoded).subspan(bqs::wal::kRecordHeaderBytes), &round);
+        AsSpan(encoded).subspan(bqs::wal::kFrameHeaderBytes), &round);
     FUZZ_CHECK(ok && round == cp, "recovered checkpoint fails involution");
   }
 }
@@ -227,7 +227,7 @@ void CheckTruncatedRecovery(const WrittenImage& image, std::size_t cut) {
   if (rem == 0) {
     FUZZ_CHECK(report.clean(), "cut=%zu on a record edge but not clean",
                cut);
-  } else if (rem < bqs::wal::kRecordHeaderBytes) {
+  } else if (rem < bqs::wal::kFrameHeaderBytes) {
     FUZZ_CHECK(report.short_header == 1 && report.bytes_dropped == rem,
                "cut=%zu rem=%zu: short_header=%llu dropped=%llu", cut, rem,
                static_cast<unsigned long long>(report.short_header),

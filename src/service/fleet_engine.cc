@@ -96,6 +96,7 @@ bool FleetEngine::Submit(Shard& shard, ShardCommand::Kind kind,
     return true;
   }
   if (!shard.ring.Publish(deadline)) return false;
+  shard.tail_granted = 0;  // the producer now fills a fresh slot
   ++shard.enqueued;
   shard.peak_depth = std::max(shard.peak_depth, shard.ring.size());
   return true;
@@ -211,6 +212,7 @@ void FleetEngine::SealForIngest(Shard& shard,
   }
   batch_shed_ = true;
   block.clear();  // the tail slot refills in place, capacity reused
+  shard.tail_granted = 0;
 }
 
 bool FleetEngine::CompactByDevice(Shard& shard,
@@ -219,13 +221,12 @@ bool FleetEngine::CompactByDevice(Shard& shard,
   double burst = options_.overload.device_burst;
   if (burst <= 0.0) burst = std::max(rate * 2.0, 1.0);
   const uint64_t seed = options_.overload.shed_seed;
-  std::size_t read = 0;
-  std::size_t write = 0;
+  // Survivors of earlier compactions were granted already: they stay.
+  std::size_t read = shard.tail_granted;
+  std::size_t write = read;
   uint64_t shed = 0;
   while (read < block.size()) {
-    // One grant per maximal same-device run; survivors of earlier
-    // compactions sit back to back, so a device whose runs were split by a
-    // fully shed neighbour is granted once for the merged run.
+    // One grant per maximal same-device run of the new records.
     const DeviceId device = block[read].device;
     std::size_t end = read + 1;
     while (end < block.size() && block[end].device == device) ++end;
@@ -244,6 +245,7 @@ bool FleetEngine::CompactByDevice(Shard& shard,
   }
   if (shed == 0) return false;
   block.resize(write);
+  shard.tail_granted = write;
   shard.shed.records += shed;
   shard.shed.rate_limited += shed;
   return true;

@@ -461,6 +461,10 @@ class FleetEngine {
         GUARDED_BY(producer_role);
     /// Monotone salt for seeded stochastic token rounding.
     uint64_t shed_events GUARDED_BY(producer_role) = 0;
+    /// Leading records of the tail slot that a kShedByDevice compaction
+    /// already granted; later compactions of the slot start after them,
+    /// so no record is charged twice. Zero once the slot is published.
+    std::size_t tail_granted GUARDED_BY(producer_role) = 0;
     /// Shed accounting, mirrored into FleetStats at Stats() time.
     struct ShedCounters {
       uint64_t records = 0;       ///< Total records shed by this shard.
@@ -552,10 +556,11 @@ class FleetEngine {
   /// use Seal() — draining never loses data.
   void SealForIngest(Shard& shard, SpscRing<ShardCommand>::Deadline deadline)
       REQUIRES(shard.producer_role, shard.ring.producer_role);
-  /// kShedByDevice: compacts `block` through the per-device token buckets,
-  /// one grant per maximal same-device run (over-rate suffixes shed,
-  /// survivors kept in place to re-queue with the next seal). Returns true
-  /// when any record was shed.
+  /// kShedByDevice: compacts the records of `block` past
+  /// `shard.tail_granted` through the per-device token buckets, one grant
+  /// per maximal same-device run (over-rate suffixes shed, survivors kept
+  /// in place to re-queue with the next seal and never charged again).
+  /// Returns true when any record was shed.
   bool CompactByDevice(Shard& shard, std::vector<FleetRecord>& block)
       REQUIRES(shard.producer_role);
   void SealAll();

@@ -5,22 +5,13 @@
 // published by the compactor (storage/compaction.h) plus a MANIFEST
 // (storage/manifest.h) naming which of them are live. Each block file is:
 //
-//   BlockFileHeader (32 bytes, fixed):
-//     magic         u32  LE   'BQBK'
-//     version       u16  LE   kBlockFormatVersion
-//     flags         u16  LE   reserved, 0
-//     time_quantum  f64  LE   seconds per timestamp quantum
-//     coord_quantum f64  LE   metres per coordinate quantum
+//   BlockFileHeader (32 bytes, fixed): a header stamp (wal_format.h; magic
+//     'BQBK', kBlockFormatVersion) whose one field is
 //     block_count   u32  LE   device blocks that follow
-//     crc           u32  LE   masked CRC32C over the 28 bytes above
 //
-//   Block (length-prefixed, CRC-framed exactly like a WAL record):
-//     length  u32 LE   payload byte count (<= kMaxBlockPayload)
-//     crc     u32 LE   masked CRC32C over (length bytes || payload)
-//     payload          one device's column runs, below
-//
-//   Block payload — whole WAL checkpoints from ONE device, seq-ascending,
-//   re-encoded columnarly:
+//   Blocks: one frame (wal_format.h) per block, payload <=
+//   kMaxBlockPayload bytes, holding whole WAL checkpoints from ONE device,
+//   seq-ascending, re-encoded columnarly:
 //     device            varint
 //     checkpoint_count  varint   n >= 1
 //     seq run:          seq0 varint, then zigzag deltas (n-1 values)
@@ -42,8 +33,6 @@
 //   * The bbox + time span ride in the payload (and again in the MANIFEST)
 //     so a range query prunes blocks without decoding them; the decoder
 //     re-derives both and rejects a payload whose embedded metadata lies.
-//   * Same CRC/length framing and masking discipline as the WAL: a
-//     corrupted length can never silently reframe the stream.
 //
 // Everything here is pure encode/decode over in-memory buffers — no file
 // I/O — so fuzz_manifest_recovery drives the exact production codec.
@@ -56,7 +45,6 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32c.h"
 #include "common/varint.h"
 #include "storage/wal_format.h"
 #include "trajectory/point.h"
@@ -67,7 +55,6 @@ namespace blk {
 inline constexpr uint32_t kBlockMagic = 0x4b425142u;  // 'BQBK' little-endian
 inline constexpr uint16_t kBlockFormatVersion = 1;
 inline constexpr std::size_t kBlockFileHeaderBytes = 32;
-inline constexpr std::size_t kBlockHeaderBytes = 8;  // length + crc
 /// Upper bound on one block payload; a decoded length above this is
 /// corruption by definition.
 inline constexpr std::size_t kMaxBlockPayload = std::size_t{1} << 26;
@@ -156,88 +143,65 @@ inline BlockMeta ComputeBlockMeta(
 
 // --- block file header ----------------------------------------------------
 
-struct BlockFileHeaderInfo {
-  uint16_t version = 0;
-  wal::WalQuantization quant;
+inline void EncodeBlockFileHeader(const wal::WalQuantization& quant,
+                                  uint32_t block_count, std::string* out) {
+  const std::size_t at =
+      wal::BeginHeader(kBlockMagic, kBlockFormatVersion, quant, out);
+  wal::PutU32(out, block_count);
+  wal::EndHeader(at, out);
+}
+
+struct BlockFileHeaderInfo : wal::HeaderStamp {
   uint32_t block_count = 0;
 };
 
-inline void EncodeBlockFileHeader(const wal::WalQuantization& quant,
-                                  uint32_t block_count, std::string* out) {
-  const std::size_t base = out->size();
-  wal::PutU32(out, kBlockMagic);
-  wal::PutU16(out, kBlockFormatVersion);
-  wal::PutU16(out, 0);  // flags
-  wal::PutF64(out, quant.time_quantum);
-  wal::PutF64(out, quant.coord_quantum);
-  wal::PutU32(out, block_count);
-  const uint32_t crc =
-      crc32c::Value(out->data() + base, kBlockFileHeaderBytes - 4);
-  wal::PutU32(out, crc32c::Mask(crc));
-}
-
-/// Validates and decodes a block file header; same trust rules as the WAL
-/// segment header (bad magic/CRC/version/quanta all reject).
+/// Validates and decodes a block file header (wal::CheckHeader's trust
+/// rules).
 inline bool DecodeBlockFileHeader(std::span<const uint8_t> bytes,
                                   BlockFileHeaderInfo* info) {
-  if (bytes.size() < kBlockFileHeaderBytes) return false;
-  const uint8_t* p = bytes.data();
-  if (wal::GetU32(p) != kBlockMagic) return false;
-  const uint32_t stored =
-      crc32c::Unmask(wal::GetU32(p + kBlockFileHeaderBytes - 4));
-  if (crc32c::Value(p, kBlockFileHeaderBytes - 4) != stored) return false;
-  BlockFileHeaderInfo out;
-  out.version = wal::GetU16(p + 4);
-  if (out.version == 0 || out.version > kBlockFormatVersion) return false;
-  out.quant.time_quantum = wal::GetF64(p + 8);
-  out.quant.coord_quantum = wal::GetF64(p + 16);
-  out.block_count = wal::GetU32(p + 24);
-  if (!(std::isfinite(out.quant.time_quantum) &&
-        out.quant.time_quantum > 0.0 &&
-        std::isfinite(out.quant.coord_quantum) &&
-        out.quant.coord_quantum > 0.0)) {
+  if (!wal::CheckHeader(bytes, kBlockFileHeaderBytes, kBlockMagic,
+                        kBlockFormatVersion, info)) {
     return false;
   }
-  *info = out;
+  info->block_count = wal::GetU32(bytes.data() + wal::kHeaderStampBytes);
   return true;
 }
 
 // --- blocks ---------------------------------------------------------------
 
-/// Appends the length-prefixed, CRC-stamped columnar encoding of one
-/// device's checkpoint run and reports its pruning metadata. Precondition:
-/// `checkpoints` non-empty, every checkpoint non-empty, one device,
-/// seq-ascending (the compactor's grouping guarantees all three).
+/// Appends the framed columnar encoding of one device's checkpoint run and
+/// reports its pruning metadata. Precondition: `checkpoints` non-empty,
+/// every checkpoint non-empty, one device, seq-ascending (the compactor's
+/// grouping guarantees all three).
 inline void EncodeBlock(std::span<const wal::WalCheckpoint> checkpoints,
                         std::string* out, BlockMeta* meta = nullptr) {
   const BlockMeta m = ComputeBlockMeta(checkpoints);
   if (meta != nullptr) *meta = m;
 
-  std::string payload;
-  varint::PutU64(&payload, m.device);
-  varint::PutU64(&payload, m.checkpoint_count);
+  const std::size_t frame = wal::BeginFrame(out);
+  varint::PutU64(out, m.device);
+  varint::PutU64(out, m.checkpoint_count);
   uint64_t prev_seq = 0;
   bool first = true;
   for (const wal::WalCheckpoint& c : checkpoints) {
     if (first) {
-      varint::PutU64(&payload, c.seq);
+      varint::PutU64(out, c.seq);
       first = false;
     } else {
-      varint::PutI64(&payload,
-                     static_cast<int64_t>(c.seq - prev_seq));
+      varint::PutI64(out, static_cast<int64_t>(c.seq - prev_seq));
     }
     prev_seq = c.seq;
   }
   for (const wal::WalCheckpoint& c : checkpoints) {
-    varint::PutU64(&payload, c.points.size());
+    varint::PutU64(out, c.points.size());
   }
-  varint::PutU64(&payload, m.point_count);
-  varint::PutI64(&payload, m.qt_min);
-  varint::PutI64(&payload, m.qt_max);
-  varint::PutI64(&payload, m.qx_min);
-  varint::PutI64(&payload, m.qx_max);
-  varint::PutI64(&payload, m.qy_min);
-  varint::PutI64(&payload, m.qy_max);
+  varint::PutU64(out, m.point_count);
+  varint::PutI64(out, m.qt_min);
+  varint::PutI64(out, m.qt_max);
+  varint::PutI64(out, m.qx_min);
+  varint::PutI64(out, m.qx_max);
+  varint::PutI64(out, m.qy_min);
+  varint::PutI64(out, m.qy_max);
 
   // Column runs: delta-coded across the whole device run, wrap-safe like
   // the WAL record codec (hostile int64 patterns must round-trip).
@@ -250,26 +214,26 @@ inline void EncodeBlock(std::span<const wal::WalCheckpoint> checkpoints,
       for (const wal::WalPoint& p : c.points) {
         if (first_point) {
           switch (column) {
-            case 0: varint::PutU64(&payload, p.index); break;
-            case 1: varint::PutI64(&payload, p.qt); break;
-            case 2: varint::PutI64(&payload, p.qx); break;
-            case 3: varint::PutI64(&payload, p.qy); break;
+            case 0: varint::PutU64(out, p.index); break;
+            case 1: varint::PutI64(out, p.qt); break;
+            case 2: varint::PutI64(out, p.qx); break;
+            case 3: varint::PutI64(out, p.qy); break;
           }
           first_point = false;
         } else {
           switch (column) {
             case 0:
-              varint::PutI64(
-                  &payload, static_cast<int64_t>(p.index - prev.index));
+              varint::PutI64(out,
+                             static_cast<int64_t>(p.index - prev.index));
               break;
             case 1:
-              varint::PutI64(&payload, wal::WrapDiff(p.qt, prev.qt));
+              varint::PutI64(out, wal::WrapDiff(p.qt, prev.qt));
               break;
             case 2:
-              varint::PutI64(&payload, wal::WrapDiff(p.qx, prev.qx));
+              varint::PutI64(out, wal::WrapDiff(p.qx, prev.qx));
               break;
             case 3:
-              varint::PutI64(&payload, wal::WrapDiff(p.qy, prev.qy));
+              varint::PutI64(out, wal::WrapDiff(p.qy, prev.qy));
               break;
           }
         }
@@ -277,21 +241,14 @@ inline void EncodeBlock(std::span<const wal::WalCheckpoint> checkpoints,
       }
     }
   }
-
-  std::string header;
-  wal::PutU32(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = crc32c::Value(header.data(), 4);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  wal::PutU32(&header, crc32c::Mask(crc));
-  out->append(header);
-  out->append(payload);
+  wal::EndFrame(frame, out);
 }
 
-/// Decodes a block payload (the bytes after the 8-byte framing header)
-/// back into the exact checkpoints it was encoded from. Total on arbitrary
-/// bytes; false on truncation, malformed varints, count implausibility, or
-/// embedded metadata that disagrees with the decoded points — a CRC-valid
-/// payload that lies about its own bbox/counts is rejected, never trusted.
+/// Decodes a block payload (a frame's payload) back into the exact
+/// checkpoints it was encoded from. Total on arbitrary bytes; false on
+/// truncation, malformed varints, count implausibility, or embedded
+/// metadata that disagrees with the decoded points — a CRC-valid payload
+/// that lies about its own bbox/counts is rejected, never trusted.
 inline bool DecodeBlockPayload(std::span<const uint8_t> payload,
                                BlockMeta* meta,
                                std::vector<wal::WalCheckpoint>* out) {

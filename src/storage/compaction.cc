@@ -1,13 +1,8 @@
 #include "storage/compaction.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <set>
 #include <span>
@@ -15,33 +10,40 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "storage/file_io.h"
 
 namespace bqs {
 
 namespace {
 
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open " + path + " for read failed");
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("size " + path + " failed");
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(out->data(), size)) {
-    return Status::IoError("read " + path + " failed");
+/// A block directory's census: stale "*.tmp" files and block files (with
+/// their ids), in directory order.
+struct BlockDirListing {
+  std::vector<std::string> temps;
+  std::vector<std::pair<uint64_t, std::string>> blocks;
+};
+
+Status ListBlockDir(const std::string& dir, BlockDirListing* out) {
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir, ec);
+  for (; !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    uint64_t id = 0;
+    if (IsTempFileName(name)) {
+      out->temps.push_back(it->path().string());
+    } else if (ParseBlockFileName(name, &id)) {
+      out->blocks.emplace_back(id, it->path().string());
+    }
   }
+  if (ec) return Status::IoError("list " + dir + ": " + ec.message());
   return Status::OK();
 }
 
-/// Best-effort directory fsync (same stance as the WAL writer: data-path
-/// fsyncs gate the contract, the directory sync narrows the window).
-void FsyncDirBestEffort(const std::string& dir) {
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd >= 0) {
-    (void)::fsync(dirfd);
-    (void)::close(dirfd);
-  }
+/// The ids of the block files `manifest` references.
+std::set<uint64_t> ReferencedFileIds(const Manifest& manifest) {
+  std::set<uint64_t> ids;
+  for (const ManifestBlockFile& file : manifest.files) ids.insert(file.file_id);
+  return ids;
 }
 
 /// The crash-point ladder: At() is consulted at every state-machine
@@ -70,73 +72,35 @@ struct CrashGate {
   }
 };
 
-/// Verifies one block's CRC over (framing length || payload) and decodes
-/// the payload. Shared by the stream read (query path) and the in-memory
-/// walk (recovery).
-Status VerifyAndDecodeBlock(const uint8_t* framing,
-                            std::span<const uint8_t> payload,
-                            const std::string& path, blk::BlockMeta* meta,
-                            std::vector<wal::WalCheckpoint>* out) {
-  const uint32_t stored_crc = crc32c::Unmask(wal::GetU32(framing + 4));
-  uint32_t crc = crc32c::Value(framing, 4);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  if (crc != stored_crc) {
-    return Status::Corruption("block crc mismatch in " + path);
+/// The one block check, shared by recovery's walk over a file image and
+/// BlockStore's loads: the frame at the start of `bytes`, the payload
+/// decode with its embedded-meta check, and, when `expect` is set, the
+/// manifest's meta. Any failure is Corruption. On success `*size` (when
+/// set) is the frame's size.
+Status CheckBlock(std::span<const uint8_t> bytes, const std::string& path,
+                  const blk::BlockMeta* expect,
+                  std::vector<wal::WalCheckpoint>* out,
+                  std::size_t* size = nullptr) {
+  const wal::Frame frame = wal::CheckFrame(bytes, blk::kMaxBlockPayload);
+  switch (frame.status) {
+    case wal::FrameStatus::kShortHeader:
+      return Status::Corruption("short block framing in " + path);
+    case wal::FrameStatus::kBadLength:
+      return Status::Corruption("bad block length in " + path);
+    case wal::FrameStatus::kBadCrc:
+      return Status::Corruption("block crc mismatch in " + path);
+    case wal::FrameStatus::kOk:
+      break;
   }
-  if (!blk::DecodeBlockPayload(payload, meta, out)) {
+  blk::BlockMeta meta;
+  if (!blk::DecodeBlockPayload(frame.payload, &meta, out)) {
     return Status::Corruption("block payload decode failed in " + path);
   }
+  if (expect != nullptr && !(meta == *expect)) {
+    return Status::Corruption("block metadata mismatch in " + path);
+  }
+  if (size != nullptr) *size = frame.size();
   return Status::OK();
-}
-
-/// Reads one CRC-framed block at `offset` of an open stream and decodes
-/// it. Used by the query path's cache misses.
-Status ReadBlockAt(std::ifstream& in, const std::string& path,
-                   uint64_t offset, blk::BlockMeta* meta,
-                   std::vector<wal::WalCheckpoint>* out) {
-  in.clear();
-  in.seekg(static_cast<std::streamoff>(offset));
-  char framing[blk::kBlockHeaderBytes];
-  if (!in.read(framing, sizeof(framing))) {
-    return Status::Corruption("short block framing in " + path);
-  }
-  const uint8_t* const f = reinterpret_cast<const uint8_t*>(framing);
-  const std::size_t len = wal::GetU32(f);
-  if (len > blk::kMaxBlockPayload) {
-    return Status::Corruption("implausible block length in " + path);
-  }
-  std::string payload(len, '\0');
-  if (len > 0 && !in.read(payload.data(), static_cast<std::streamoff>(len))) {
-    return Status::Corruption("short block payload in " + path);
-  }
-  return VerifyAndDecodeBlock(
-      f, {reinterpret_cast<const uint8_t*>(payload.data()), payload.size()},
-      path, meta, out);
-}
-
-/// ReadBlockAt over a whole block-file image already in memory: the same
-/// checks in the same order, with no second open and no payload copy. On
-/// success `*next` is the offset just past the block.
-Status DecodeBlockInImage(std::span<const uint8_t> image,
-                          const std::string& path, uint64_t offset,
-                          blk::BlockMeta* meta,
-                          std::vector<wal::WalCheckpoint>* out,
-                          uint64_t* next) {
-  if (offset > image.size() ||
-      image.size() - offset < blk::kBlockHeaderBytes) {
-    return Status::Corruption("short block framing in " + path);
-  }
-  const uint8_t* const f = image.data() + offset;
-  const std::size_t len = wal::GetU32(f);
-  if (len > blk::kMaxBlockPayload) {
-    return Status::Corruption("implausible block length in " + path);
-  }
-  const uint64_t body = offset + blk::kBlockHeaderBytes;
-  if (image.size() - body < len) {
-    return Status::Corruption("short block payload in " + path);
-  }
-  *next = body + len;
-  return VerifyAndDecodeBlock(f, image.subspan(body, len), path, meta, out);
 }
 
 }  // namespace
@@ -211,9 +175,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
 
   // [cleanup] -- block dir, current manifest, stale temp/orphan files.
   Manifest manifest;
-  bool have_manifest = false;
   Status st = step([&]() -> Status {
-    have_manifest = false;
     manifest = Manifest{};
     std::error_code ec;
     std::filesystem::create_directories(options_.block_dir, ec);
@@ -221,64 +183,35 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
       return Status::IoError("create " + options_.block_dir + ": " +
                              ec.message());
     }
+    // No manifest yet (NotFound) is the fresh-directory case. A manifest
+    // that cannot be read or trusted is not ours to paper over: cleanup
+    // would take every block file for an orphan, and compacting on top of
+    // an untrusted watermark could delete WAL bytes not provably in
+    // blocks. Refuse and report.
     const Status ms = ReadManifest(options_.block_dir, &manifest);
-    if (ms.ok()) {
-      have_manifest = true;
-      return Status::OK();
-    }
-    // No manifest yet is the fresh-directory case; corruption is not ours
-    // to paper over — compacting on top of an untrusted watermark could
-    // delete WAL bytes not provably in blocks. Refuse and report.
-    if (ms.code() == StatusCode::kNotFound) return Status::OK();
-    return ms;
+    return ms.code() == StatusCode::kNotFound ? Status::OK() : ms;
   });
   if (!st.ok()) return fail(st);
 
   st = step([&]() -> Status {
-    uint64_t tmp_removed = 0, orphans_removed = 0;
-    std::set<uint64_t> referenced;
-    for (const ManifestBlockFile& file : manifest.files) {
-      referenced.insert(file.file_id);
+    BlockDirListing listing;
+    BQS_RETURN_NOT_OK(ListBlockDir(options_.block_dir, &listing));
+    // Published but never referenced blocks: a crash landed between block
+    // and manifest publication. The WAL still holds their contents
+    // (segments are deleted only after the manifest rename), so an orphan
+    // is redundant bytes, not data.
+    const std::set<uint64_t> referenced = ReferencedFileIds(manifest);
+    std::vector<std::string> doomed = listing.temps;
+    for (const auto& [id, path] : listing.blocks) {
+      if (!referenced.contains(id)) doomed.push_back(path);
     }
-    std::error_code ec;
-    std::filesystem::directory_iterator it(options_.block_dir, ec);
-    if (ec) {
-      return Status::IoError("list " + options_.block_dir + ": " +
-                             ec.message());
-    }
-    const std::filesystem::directory_iterator end;
-    std::vector<std::filesystem::path> doomed;
-    while (it != end) {
-      const std::string name = it->path().filename().string();
-      uint64_t id = 0;
-      if (name.size() > 4 &&
-          name.compare(name.size() - 4, 4, ".tmp") == 0) {
-        doomed.push_back(it->path());
-        ++tmp_removed;
-      } else if (ParseBlockFileName(name, &id) &&
-                 referenced.find(id) == referenced.end()) {
-        // Published but never referenced: a crash landed between block
-        // and manifest publication. The WAL still holds its contents
-        // (segments are deleted only after the manifest rename), so the
-        // orphan is redundant bytes, not data.
-        doomed.push_back(it->path());
-        ++orphans_removed;
-      }
-      it.increment(ec);
-      if (ec) {
-        return Status::IoError("list " + options_.block_dir + ": " +
-                               ec.message());
-      }
-    }
-    for (const std::filesystem::path& path : doomed) {
+    for (const std::string& path : doomed) {
+      std::error_code ec;
       std::filesystem::remove(path, ec);
-      if (ec) {
-        return Status::IoError("remove " + path.string() + ": " +
-                               ec.message());
-      }
+      if (ec) return Status::IoError("remove " + path + ": " + ec.message());
     }
-    stats_.orphan_tmp_removed += tmp_removed;
-    stats_.orphan_blocks_removed += orphans_removed;
+    stats_.orphan_tmp_removed += listing.temps.size();
+    stats_.orphan_blocks_removed += doomed.size() - listing.temps.size();
     return Status::OK();
   });
   if (!st.ok()) return fail(st);
@@ -310,8 +243,7 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     WalRecoveryReport scan_report;
     for (const WalSegmentFile& file : consumed) {
       BQS_RETURN_NOT_OK(ReadFileBytes(file.path, &bytes));
-      const std::span<const uint8_t> image(
-          reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+      const std::span<const uint8_t> image = AsBytes(bytes);
       wal::SegmentHeaderInfo header;
       if (wal::DecodeSegmentHeader(image, &header)) quant = header.quant;
       // Same torn-tail rule as WalReader::Recover: only the directory's
@@ -439,7 +371,9 @@ Status Compactor::CompactOnceLocked(uint64_t max_segment_exclusive) {
     if (!st.ok()) return fail(st);
     ++stats_.segments_deleted;
   }
-  FsyncDirBestEffort(options_.wal_dir);
+  // Best-effort, like the WAL writer's: the data-path fsyncs gate the
+  // contract, the directory sync narrows the window.
+  (void)FsyncDir(options_.wal_dir);
 
   ++stats_.runs_completed;
   return Status::OK();
@@ -469,41 +403,27 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
 
   // Census of the block directory: stale temp files are counted (the next
   // compaction quarantines them); block files are collected for either
-  // the referenced walk or the manifest-less fallback scan.
-  std::map<uint64_t, std::string> on_disk;  // id -> path, deterministic
-  {
-    std::error_code ec;
-    std::filesystem::directory_iterator it(block_dir, ec);
-    if (!ec) {
-      const std::filesystem::directory_iterator end;
-      while (it != end) {
-        const std::string name = it->path().filename().string();
-        uint64_t id = 0;
-        if (name.size() > 4 &&
-            name.compare(name.size() - 4, 4, ".tmp") == 0) {
-          ++report.orphan_tmp_files;
-        } else if (ParseBlockFileName(name, &id)) {
-          on_disk.emplace(id, it->path().string());
-        }
-        it.increment(ec);
-        if (ec) break;
-      }
-    }
-  }
+  // the referenced walk or the manifest-less fallback scan. A directory
+  // that cannot be listed holds nothing to recover.
+  BlockDirListing listing;
+  (void)ListBlockDir(block_dir, &listing);
+  report.orphan_tmp_files = listing.temps.size();
+  // id -> path, deterministic
+  const std::map<uint64_t, std::string> on_disk(listing.blocks.begin(),
+                                                listing.blocks.end());
 
   std::vector<wal::WalCheckpoint> from_blocks;
   std::set<uint64_t> block_seqs;
   bool quant_known = false;
 
   const auto walk_file = [&](const std::string& path,
-                             const ManifestBlockFile* expect) {
+                             const ManifestBlockFile* file) {
     std::string bytes;
     if (!ReadFileBytes(path, &bytes).ok()) {
       ++report.block_files_unreadable;
       return;
     }
-    const std::span<const uint8_t> image(
-        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+    const std::span<const uint8_t> image = AsBytes(bytes);
     blk::BlockFileHeaderInfo header;
     if (!blk::DecodeBlockFileHeader(image, &header)) {
       ++report.block_files_unreadable;
@@ -514,22 +434,23 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
       quant_known = true;
     }
     ++report.block_files_read;
-    uint64_t offset = blk::kBlockFileHeaderBytes;
+    std::size_t offset = blk::kBlockFileHeaderBytes;
     for (uint32_t b = 0; b < header.block_count; ++b) {
       // Referenced walks jump by manifest offsets (and cross-check the
       // stored metadata); the fallback walks the framing sequentially.
-      if (expect != nullptr) {
-        if (b >= expect->blocks.size()) break;
-        offset = expect->blocks[b].offset;
+      const blk::BlockMeta* expect = nullptr;
+      if (file != nullptr) {
+        if (b >= file->blocks.size()) break;
+        offset = static_cast<std::size_t>(
+            std::min<uint64_t>(file->blocks[b].offset, image.size()));
+        expect = &file->blocks[b].meta;
       }
-      blk::BlockMeta meta;
       std::vector<wal::WalCheckpoint> decoded;
-      uint64_t next = 0;
-      if (!DecodeBlockInImage(image, path, offset, &meta, &decoded, &next)
-               .ok() ||
-          (expect != nullptr && !(meta == expect->blocks[b].meta))) {
+      std::size_t size = 0;
+      if (!CheckBlock(image.subspan(offset), path, expect, &decoded, &size)
+               .ok()) {
         ++report.blocks_corrupt;
-        if (expect == nullptr) break;  // framing lost; stop the walk
+        if (file == nullptr) break;  // framing lost; stop the walk
         continue;
       }
       ++report.blocks_decoded;
@@ -539,7 +460,7 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
         if (!have_manifest) block_seqs.insert(c.seq);
         from_blocks.push_back(std::move(c));
       }
-      offset = next;  // the fallback walk's framing advance
+      offset += size;  // the fallback walk's framing advance
     }
   };
 
@@ -554,16 +475,10 @@ Result<StoreRecovery> RecoverStore(const std::string& wal_dir,
       }
       walk_file(it->second, &file);
     }
+    const std::set<uint64_t> referenced = ReferencedFileIds(manifest);
     for (const auto& [id, path] : on_disk) {
       (void)path;
-      bool referenced = false;
-      for (const ManifestBlockFile& file : manifest.files) {
-        if (file.file_id == id) {
-          referenced = true;
-          break;
-        }
-      }
-      if (!referenced) ++report.unreferenced_blocks;
+      if (!referenced.contains(id)) ++report.unreferenced_blocks;
     }
   } else {
     // No (trustworthy) manifest: scan every published block file. Each is
@@ -747,18 +662,19 @@ std::size_t BlockStore::cached_bytes() const {
 
 Status BlockStore::LoadBlock(std::size_t id, DecodedBlock* block) const {
   const BlockRef& ref = blocks_[id];
-  const std::string path =
-      dir_ + "/" + BlockFileName(manifest_.files[ref.file_slot].file_id);
+  const ManifestBlockFile& file = manifest_.files[ref.file_slot];
+  const std::string path = dir_ + "/" + BlockFileName(file.file_id);
+  // The block spans up to the next block of its file, or the file's end.
   // Opened per cache miss: a store holds no descriptors between queries.
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open " + path + " for read failed");
-  blk::BlockMeta meta;
+  const uint64_t end = id + 1 < files_[ref.file_slot].end
+                           ? blocks_[id + 1].offset
+                           : file.file_bytes;
+  std::string bytes;
+  BQS_RETURN_NOT_OK(ReadFileBytes(
+      path, &bytes, ref.offset, end > ref.offset ? end - ref.offset : 0));
   std::vector<wal::WalCheckpoint> decoded;
-  BQS_RETURN_NOT_OK(ReadBlockAt(in, path, ref.offset, &meta, &decoded));
-  if (!(meta == ref.meta)) {
-    return Status::Corruption("block metadata mismatch in " + path);
-  }
-  const auto n = static_cast<std::size_t>(meta.point_count);
+  BQS_RETURN_NOT_OK(CheckBlock(AsBytes(bytes), path, &ref.meta, &decoded));
+  const auto n = static_cast<std::size_t>(ref.meta.point_count);
   block->points.clear();
   block->points.reserve(n);
   block->chunks.clear();

@@ -35,7 +35,7 @@
 //
 // Every I/O step runs under the deterministic retry/backoff policy
 // (common/backoff.h). Transient failures retry; persistent ENOSPC
-// (classified by manifest.h's IsEnospc) flips the compactor into degraded
+// (classified by file_io.h's IsEnospc) flips the compactor into degraded
 // mode: CompactOnce becomes a fast no-op error, the WAL keeps ingesting,
 // and FleetEngine surfaces storage_healthy=false — degrade-and-continue,
 // never fail ingest. ResetDegraded() re-arms once space is back.
@@ -226,10 +226,11 @@ struct RangeQueryStats {
 /// of what the compressor emitted, so results inherit the combined
 /// eps + quantum/2 error bound end to end.
 ///
-/// Decoded-block cache: the first query that needs a block opens its
-/// file, reads the block, verifies it (CRC, payload decode with its
-/// embedded-meta check, and meta == manifest meta), closes the file and
-/// keeps its points dequantized in memory with their chunk boxes, so
+/// Decoded-block cache: the first query that needs a block reads its span
+/// (up to the next block of its file, or the file's end) in one read,
+/// runs recovery's block check on it (frame and CRC, payload decode with
+/// its embedded-meta check, and meta == manifest meta) and keeps its
+/// points dequantized in memory with their chunk boxes, so
 /// later queries of the same open filter them without I/O. The cache
 /// lives as long as the store and is capped at kCacheBytes, points and
 /// boxes together; a block that does not fit is decoded for its query and
@@ -252,7 +253,8 @@ class BlockStore {
   static constexpr std::size_t kChunkPoints = 32;
 
   /// Reads the MANIFEST and builds the flat file/block bounds. NotFound
-  /// when no manifest exists, Corruption when it fails to decode.
+  /// when no manifest exists, IoError when it cannot be read, Corruption
+  /// when it fails to decode.
   static Result<BlockStore> Open(const std::string& block_dir);
 
   BlockStore(BlockStore&&) noexcept;

@@ -4,71 +4,20 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
+#include <string_view>
 #include <system_error>
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "storage/file_io.h"
 
 namespace bqs {
 
 namespace {
 
-std::string SegmentFileName(uint64_t index) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "wal-%06llu.log",
-                static_cast<unsigned long long>(index));
-  return buf;
-}
-
-/// Parses "wal-NNNNNN.log" (any digit count) into its index; false for
-/// every other name — foreign files in the directory are simply ignored.
-bool ParseSegmentFileName(const std::string& name, uint64_t* index) {
-  constexpr std::string_view kPrefix = "wal-";
-  constexpr std::string_view kSuffix = ".log";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  const std::string digits =
-      name.substr(kPrefix.size(),
-                  name.size() - kPrefix.size() - kSuffix.size());
-  if (digits.empty() || digits.size() > 19) return false;  // > 19: overflow
-  uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *index = value;
-  return true;
-}
-
-Status ErrnoError(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
-/// Reads a whole file into `out`. Segments are bounded by the writer's
-/// rotation threshold, so whole-file images are the right granularity for
-/// recovery (and what RecoverSegment wants anyway).
-Status ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("open " + path + " for read failed");
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("size " + path + " failed");
-  in.seekg(0, std::ios::beg);
-  out->resize(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(out->data(), size)) {
-    return Status::IoError("read " + path + " failed");
-  }
-  return Status::OK();
-}
+constexpr std::string_view kSegmentPrefix = "wal-";
+constexpr std::string_view kSegmentSuffix = ".log";
 
 }  // namespace
 
@@ -92,12 +41,22 @@ Status KeyPointWal::Open(uint64_t first_seq) {
     return Status::IoError("create " + options_.dir + ": " + ec.message());
   }
   // Existing segments are recovery's property: their tails may be torn, so
-  // this writer starts a fresh segment numbered past all of them.
+  // this writer starts a fresh segment numbered past all of them, and past
+  // every ignored entry that carries a segment name too (its name is taken).
   uint64_t max_index = 0;
-  Result<std::vector<WalSegmentFile>> existing = ListWalSegments(options_.dir);
+  std::vector<std::string> ignored;
+  Result<std::vector<WalSegmentFile>> existing =
+      ListWalSegments(options_.dir, &ignored);
   if (!existing.ok()) return existing.status();
   for (const WalSegmentFile& file : existing.value()) {
     max_index = std::max(max_index, file.index);
+  }
+  for (const std::string& path : ignored) {
+    uint64_t index = 0;
+    const std::string name = std::filesystem::path(path).filename().string();
+    if (ParseNumberedFileName(name, kSegmentPrefix, kSegmentSuffix, &index)) {
+      max_index = std::max(max_index, index);
+    }
   }
   segment_index_ = max_index;  // OpenSegmentLocked() pre-increments
   next_seq_ = first_seq == 0 ? 1 : first_seq;
@@ -204,7 +163,8 @@ Status KeyPointWal::AppendLocked(DeviceId device,
 Status KeyPointWal::OpenSegmentLocked() {
   ++segment_index_;
   const std::string path =
-      options_.dir + "/" + SegmentFileName(segment_index_);
+      options_.dir + "/" +
+      NumberedFileName(kSegmentPrefix, segment_index_, kSegmentSuffix);
   // O_EXCL: Open() numbered this segment past every existing one, so a
   // collision means two writers own the directory — refuse, don't clobber.
   const int fd =
@@ -224,12 +184,7 @@ Status KeyPointWal::OpenSegmentLocked() {
     // Make the new directory entry itself durable: a crash that keeps the
     // inode but loses the name loses the data with it. Best-effort — the
     // data-path fsyncs are what gate the acks.
-    const int dirfd =
-        ::open(options_.dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    if (dirfd >= 0) {
-      (void)::fsync(dirfd);
-      (void)::close(dirfd);
-    }
+    (void)FsyncDir(options_.dir);
   }
   return Status::OK();
 }
@@ -260,7 +215,7 @@ Status KeyPointWal::FlushLocked() {
       const std::size_t cut = static_cast<std::size_t>(
           injector->param(FaultSite::kWriteShortAtByte) %
           (buffer_.size() + 1));
-      const Status st = WriteFully(buffer_.data(), cut);
+      const Status st = WriteFully(fd_, {buffer_.data(), cut}, "wal segment");
       if (st.ok()) {
         segment_written_ += cut;
         unsynced_bytes_ += cut;
@@ -272,7 +227,7 @@ Status KeyPointWal::FlushLocked() {
       return dead_st;
     }
   }
-  const Status st = WriteFully(buffer_.data(), buffer_.size());
+  const Status st = WriteFully(fd_, buffer_, "wal segment");
   if (!st.ok()) {
     MarkDeadLocked(st);
     return st;
@@ -301,19 +256,6 @@ Status KeyPointWal::SyncLocked() {
   unsynced_bytes_ = 0;
   last_sync_ = std::chrono::steady_clock::now();
   ++stats_.syncs;
-  return Status::OK();
-}
-
-Status KeyPointWal::WriteFully(const char* data, std::size_t size) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd_, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write");
-    }
-    done += static_cast<std::size_t>(n);
-  }
   return Status::OK();
 }
 
@@ -395,11 +337,14 @@ Result<std::vector<WalSegmentFile>> ListWalSegments(
     const std::filesystem::directory_entry& entry = *it;
     const std::string name = entry.path().filename().string();
     uint64_t index = 0;
-    if (ParseSegmentFileName(name, &index)) {
+    const bool named =
+        ParseNumberedFileName(name, kSegmentPrefix, kSegmentSuffix, &index);
+    std::error_code type_ec;
+    if (named && entry.is_regular_file(type_ec)) {
       out.push_back(WalSegmentFile{index, entry.path().string()});
-    } else if (ignored != nullptr && name.size() > 4 &&
-               name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      // Debris of a crashed atomic publication sharing the directory.
+    } else if (ignored != nullptr && (named || IsTempFileName(name))) {
+      // A segment name on a directory (or other non-file) cannot be read
+      // as a segment; "*.tmp" is debris of a crashed atomic publication.
       ignored->push_back(entry.path().string());
     }
     it.increment(ec);
@@ -442,55 +387,49 @@ void WalReader::RecoverSegment(std::span<const uint8_t> segment, bool is_last,
   std::size_t offset = wal::kSegmentHeaderBytes;
   while (offset < segment.size()) {
     const std::size_t rem = segment.size() - offset;
-    if (rem < wal::kRecordHeaderBytes) {
-      ++report->short_header;  // partial record header: a torn final write
-      report->bytes_dropped += rem;
-      return;
-    }
-    const uint8_t* const p = segment.data() + offset;
-    const std::size_t len = wal::GetU32(p);
-    const uint32_t stored_crc = crc32c::Unmask(wal::GetU32(p + 4));
-    if (len > wal::kMaxRecordPayload ||
-        len > rem - wal::kRecordHeaderBytes) {
-      // Implausible or overrunning length: framing is lost and there is no
-      // way to resynchronize, in any segment. Everything from here on is
-      // a torn (or trashed) tail.
-      ++report->torn_tail;
-      report->bytes_dropped += rem;
-      return;
-    }
-    const std::size_t record_bytes = wal::kRecordHeaderBytes + len;
-    uint32_t crc = crc32c::Value(p, 4);
-    crc = crc32c::Extend(crc, p + wal::kRecordHeaderBytes, len);
-    if (crc != stored_crc) {
-      if (is_last) {
-        // The crashed-mid-write shape: truncate at the first bad CRC.
-        // (An isolated flip earlier in the live segment truncates too —
-        // torn and flipped are indistinguishable without a seal record.)
+    const wal::Frame frame =
+        wal::CheckFrame(segment.subspan(offset), wal::kMaxRecordPayload);
+    switch (frame.status) {
+      case wal::FrameStatus::kShortHeader:
+        ++report->short_header;  // partial record header: a torn final write
+        report->bytes_dropped += rem;
+        return;
+      case wal::FrameStatus::kBadLength:
+        // Implausible or overrunning length: framing is lost and there is
+        // no way to resynchronize, in any segment. Everything from here on
+        // is a torn (or trashed) tail.
         ++report->torn_tail;
         report->bytes_dropped += rem;
         return;
-      }
-      // Closed segment: the writer sealed it whole, so a bad CRC here is
-      // isolated media corruption. Skip the record, keep replaying.
-      ++report->bad_crc;
-      report->bytes_dropped += record_bytes;
-      offset += record_bytes;
-      continue;
+      case wal::FrameStatus::kBadCrc:
+        if (is_last) {
+          // The crashed-mid-write shape: truncate at the first bad CRC.
+          // (An isolated flip earlier in the live segment truncates too —
+          // torn and flipped are indistinguishable without a seal record.)
+          ++report->torn_tail;
+          report->bytes_dropped += rem;
+          return;
+        }
+        // Closed segment: the writer sealed it whole, so a bad CRC here is
+        // isolated media corruption. Skip the record, keep replaying.
+        ++report->bad_crc;
+        report->bytes_dropped += frame.size();
+        offset += frame.size();
+        continue;
+      case wal::FrameStatus::kOk:
+        break;
     }
+    offset += frame.size();
     wal::WalCheckpoint checkpoint;
-    if (!wal::DecodeRecordPayload({p + wal::kRecordHeaderBytes, len},
-                                  &checkpoint)) {
+    if (!wal::DecodeRecordPayload(frame.payload, &checkpoint)) {
       // CRC-valid but undecodable: an encoder bug or a crafted record.
       // The framing is still trustworthy, so only this record is lost.
       ++report->bad_varint;
-      report->bytes_dropped += record_bytes;
-      offset += record_bytes;
+      report->bytes_dropped += frame.size();
       continue;
     }
     out->push_back(std::move(checkpoint));
     ++report->records_recovered;
-    offset += record_bytes;
   }
 }
 
@@ -501,9 +440,13 @@ Result<WalRecovery> WalReader::Recover(const std::string& dir) {
   WalRecovery recovery;
   std::string bytes;
   for (std::size_t i = 0; i < files.size(); ++i) {
-    BQS_RETURN_NOT_OK(ReadFileBytes(files[i].path, &bytes));
-    const std::span<const uint8_t> image(
-        reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+    if (Status st = ReadFileBytes(files[i].path, &bytes); !st.ok()) {
+      // NotFound means "no WAL directory" to callers; a segment vanishing
+      // after the listing is an I/O failure.
+      return st.code() == StatusCode::kNotFound ? Status::IoError(st.message())
+                                                : st;
+    }
+    const std::span<const uint8_t> image = AsBytes(bytes);
     wal::SegmentHeaderInfo header;
     if (wal::DecodeSegmentHeader(image, &header)) {
       recovery.quant = header.quant;  // newest valid header wins

@@ -197,7 +197,6 @@ class KeyPointWal {
   Status FlushLocked() REQUIRES(mu_);
   /// fdatasync (kFsyncFail hook). Precondition: buffer already flushed.
   Status SyncLocked() REQUIRES(mu_);
-  Status WriteFully(const char* data, std::size_t size) REQUIRES(mu_);
   void MarkDeadLocked(const Status& cause) REQUIRES(mu_);
 
   const KeyPointWalOptions options_;
@@ -273,9 +272,11 @@ struct WalSegmentFile {
 };
 
 /// Segment files under `dir`, sorted by index. Foreign names are ignored
-/// silently; two dirty-directory shapes are quarantined *deterministically*
-/// and reported through `ignored` (when non-null):
+/// silently; three dirty-directory shapes are quarantined
+/// *deterministically* and reported through `ignored` (when non-null):
 ///   * stale "*.tmp" files — debris of a crashed atomic publication;
+///   * a segment name on something that is not a regular file (a
+///     directory, say), which cannot be read as a segment;
 ///   * duplicate segment indices ("wal-1.log" vs "wal-000001.log" both
 ///     parse to 1): the lexicographically smallest path wins, the rest are
 ///     ignored — replaying both would double every record in them.

@@ -3,143 +3,63 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 
 #include "common/fault_injector.h"
 
 namespace bqs {
 
-namespace {
-
-/// errno -> status, with disk-full made classifiable: IsEnospc() keys on
-/// the "ENOSPC" prefix, which this is the only real-I/O source of.
-Status ErrnoError(const std::string& what) {
-  if (errno == ENOSPC) {
-    return Status::IoError("ENOSPC: " + what + ": " + std::strerror(errno));
-  }
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
-
-Status InjectedEnospc(const std::string& what) {
-  return Status::IoError("ENOSPC (injected): " + what);
-}
-
-Status WriteFully(int fd, const char* data, std::size_t size,
-                  const std::string& what) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoError("write " + what);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status FsyncDir(const std::string& dir) {
-  const int dirfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (dirfd < 0) return ErrnoError("open dir " + dir);
-  if (::fsync(dirfd) != 0) {
-    const Status st = ErrnoError("fsync dir " + dir);
-    (void)::close(dirfd);
-    return st;
-  }
-  (void)::close(dirfd);
-  return Status::OK();
-}
-
-}  // namespace
-
 // --- codec ----------------------------------------------------------------
 
 void EncodeManifest(const Manifest& manifest, std::string* out) {
-  const std::size_t base = out->size();
-  wal::PutU32(out, manifestfmt::kManifestMagic);
-  wal::PutU16(out, manifestfmt::kManifestFormatVersion);
-  wal::PutU16(out, 0);  // flags
-  wal::PutF64(out, manifest.quant.time_quantum);
-  wal::PutF64(out, manifest.quant.coord_quantum);
+  const std::size_t header = wal::BeginHeader(
+      manifestfmt::kManifestMagic, manifestfmt::kManifestFormatVersion,
+      manifest.quant, out);
   wal::PutU64(out, manifest.last_applied_seq);
   wal::PutU32(out, static_cast<uint32_t>(manifest.files.size()));
-  const uint32_t crc =
-      crc32c::Value(out->data() + base, manifestfmt::kManifestHeaderBytes - 4);
-  wal::PutU32(out, crc32c::Mask(crc));
+  wal::EndHeader(header, out);
 
-  std::string payload;
   for (const ManifestBlockFile& file : manifest.files) {
-    payload.clear();
-    varint::PutU64(&payload, file.file_id);
-    varint::PutU64(&payload, file.file_bytes);
-    varint::PutU64(&payload, file.blocks.size());
+    const std::size_t frame = wal::BeginFrame(out);
+    varint::PutU64(out, file.file_id);
+    varint::PutU64(out, file.file_bytes);
+    varint::PutU64(out, file.blocks.size());
     for (const ManifestBlockEntry& block : file.blocks) {
-      varint::PutU64(&payload, block.offset);
-      blk::PutBlockMeta(&payload, block.meta);
+      varint::PutU64(out, block.offset);
+      blk::PutBlockMeta(out, block.meta);
     }
-    std::string header;
-    wal::PutU32(&header, static_cast<uint32_t>(payload.size()));
-    uint32_t entry_crc = crc32c::Value(header.data(), 4);
-    entry_crc = crc32c::Extend(entry_crc, payload.data(), payload.size());
-    wal::PutU32(&header, crc32c::Mask(entry_crc));
-    out->append(header);
-    out->append(payload);
+    wal::EndFrame(frame, out);
   }
 }
 
 bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out) {
-  if (bytes.size() < manifestfmt::kManifestHeaderBytes) return false;
-  const uint8_t* p = bytes.data();
-  if (wal::GetU32(p) != manifestfmt::kManifestMagic) return false;
-  const uint32_t stored = crc32c::Unmask(
-      wal::GetU32(p + manifestfmt::kManifestHeaderBytes - 4));
-  if (crc32c::Value(p, manifestfmt::kManifestHeaderBytes - 4) != stored) {
+  wal::HeaderStamp stamp;
+  if (!wal::CheckHeader(bytes, manifestfmt::kManifestHeaderBytes,
+                        manifestfmt::kManifestMagic,
+                        manifestfmt::kManifestFormatVersion, &stamp)) {
     return false;
   }
+  const uint8_t* const fields = bytes.data() + wal::kHeaderStampBytes;
   Manifest m;
-  const uint16_t version = wal::GetU16(p + 4);
-  if (version == 0 || version > manifestfmt::kManifestFormatVersion) {
-    return false;
-  }
-  m.quant.time_quantum = wal::GetF64(p + 8);
-  m.quant.coord_quantum = wal::GetF64(p + 16);
-  if (!(std::isfinite(m.quant.time_quantum) && m.quant.time_quantum > 0.0 &&
-        std::isfinite(m.quant.coord_quantum) &&
-        m.quant.coord_quantum > 0.0)) {
-    return false;
-  }
-  m.last_applied_seq = wal::GetU64(p + 24);
-  const uint32_t file_count = wal::GetU32(p + 32);
+  m.quant = stamp.quant;
+  m.last_applied_seq = wal::GetU64(fields);
+  const uint32_t file_count = wal::GetU32(fields + 8);
   // Each entry costs >= 8 framing bytes; a count that cannot fit is
   // corruption without further reads.
-  if (file_count >
-      (bytes.size() - manifestfmt::kManifestHeaderBytes) /
-              manifestfmt::kEntryHeaderBytes +
-          1) {
+  if (file_count > (bytes.size() - manifestfmt::kManifestHeaderBytes) /
+                           wal::kFrameHeaderBytes +
+                       1) {
     return false;
   }
 
   std::size_t offset = manifestfmt::kManifestHeaderBytes;
   m.files.reserve(file_count);
   for (uint32_t i = 0; i < file_count; ++i) {
-    const std::size_t rem = bytes.size() - offset;
-    if (rem < manifestfmt::kEntryHeaderBytes) return false;
-    const uint8_t* const e = bytes.data() + offset;
-    const std::size_t len = wal::GetU32(e);
-    const uint32_t entry_stored = crc32c::Unmask(wal::GetU32(e + 4));
-    if (len > manifestfmt::kMaxEntryPayload ||
-        len > rem - manifestfmt::kEntryHeaderBytes) {
-      return false;
-    }
-    uint32_t entry_crc = crc32c::Value(e, 4);
-    entry_crc = crc32c::Extend(
-        entry_crc, e + manifestfmt::kEntryHeaderBytes, len);
-    if (entry_crc != entry_stored) return false;
-
-    const uint8_t* q = e + manifestfmt::kEntryHeaderBytes;
+    const wal::Frame frame =
+        wal::CheckFrame(bytes.subspan(offset), manifestfmt::kMaxEntryPayload);
+    if (frame.status != wal::FrameStatus::kOk) return false;
+    const std::size_t len = frame.payload.size();
+    const uint8_t* q = frame.payload.data();
     const uint8_t* const qend = q + len;
     ManifestBlockFile file;
     uint64_t block_count = 0;
@@ -157,7 +77,7 @@ bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out) {
     }
     if (q != qend) return false;  // trailing garbage inside the entry
     m.files.push_back(std::move(file));
-    offset += manifestfmt::kEntryHeaderBytes + len;
+    offset += frame.size();
   }
   if (offset != bytes.size()) return false;  // trailing bytes after entries
   *out = std::move(m);
@@ -167,37 +87,11 @@ bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out) {
 // --- file naming ----------------------------------------------------------
 
 std::string BlockFileName(uint64_t file_id) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "blk-%06llu.bqb",
-                static_cast<unsigned long long>(file_id));
-  return buf;
-}
-
-std::string BlockTempFileName(uint64_t file_id) {
-  // WriteFileAtomic's temp naming (final + ".tmp"), so the quarantine scan
-  // for stale "*.tmp" covers crashed block publication too.
-  return BlockFileName(file_id) + ".tmp";
+  return NumberedFileName("blk-", file_id, ".bqb");
 }
 
 bool ParseBlockFileName(const std::string& name, uint64_t* file_id) {
-  constexpr std::string_view kPrefix = "blk-";
-  constexpr std::string_view kSuffix = ".bqb";
-  if (name.size() <= kPrefix.size() + kSuffix.size()) return false;
-  if (name.compare(0, kPrefix.size(), kPrefix) != 0) return false;
-  if (name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-      0) {
-    return false;
-  }
-  const std::string digits = name.substr(
-      kPrefix.size(), name.size() - kPrefix.size() - kSuffix.size());
-  if (digits.empty() || digits.size() > 19) return false;  // > 19: overflow
-  uint64_t value = 0;
-  for (const char c : digits) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *file_id = value;
-  return true;
+  return ParseNumberedFileName(name, "blk-", ".bqb", file_id);
 }
 
 // --- I/O ------------------------------------------------------------------
@@ -210,12 +104,12 @@ Status WriteFileAtomic(const std::string& dir, const std::string& final_name,
 
   if (injector != nullptr &&
       injector->ShouldFire(FaultSite::kEnospc)) {
-    return InjectedEnospc("write " + tmp_path);
+    return Status::IoError("ENOSPC (injected): write " + tmp_path);
   }
   const int fd = ::open(tmp_path.c_str(),
                         O_CREAT | O_TRUNC | O_WRONLY | O_CLOEXEC, 0644);
   if (fd < 0) return ErrnoError("open " + tmp_path);
-  Status st = WriteFully(fd, bytes.data(), bytes.size(), tmp_path);
+  Status st = WriteFully(fd, bytes, tmp_path);
   if (st.ok() && ::fsync(fd) != 0) st = ErrnoError("fsync " + tmp_path);
   if (::close(fd) != 0 && st.ok()) st = ErrnoError("close " + tmp_path);
   if (!st.ok()) return st;
@@ -247,27 +141,12 @@ Status WriteManifest(const std::string& dir, const Manifest& manifest,
 
 Status ReadManifest(const std::string& dir, Manifest* out) {
   const std::string path = dir + "/" + kManifestName;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("no manifest at " + path);
   std::string bytes;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("size " + path + " failed");
-  in.seekg(0, std::ios::beg);
-  bytes.resize(static_cast<std::size_t>(size));
-  if (size > 0 && !in.read(bytes.data(), size)) {
-    return Status::IoError("read " + path + " failed");
-  }
-  if (!DecodeManifest(
-          {reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size()},
-          out)) {
+  BQS_RETURN_NOT_OK(ReadFileBytes(path, &bytes));
+  if (!DecodeManifest(AsBytes(bytes), out)) {
     return Status::Corruption("manifest at " + path + " failed to decode");
   }
   return Status::OK();
-}
-
-bool IsEnospc(const Status& status) {
-  return !status.ok() && status.message().rfind("ENOSPC", 0) == 0;
 }
 
 }  // namespace bqs

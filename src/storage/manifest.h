@@ -3,23 +3,16 @@
 //
 // Layout ("MANIFEST" in the block directory):
 //
-//   ManifestHeader (40 bytes, fixed):
-//     magic            u32  LE   'BQMF'
-//     version          u16  LE   kManifestFormatVersion
-//     flags            u16  LE   reserved, 0
-//     time_quantum     f64  LE
-//     coord_quantum    f64  LE
+//   ManifestHeader (40 bytes, fixed): a header stamp (wal_format.h; magic
+//     'BQMF', kManifestFormatVersion) whose fields are
 //     last_applied_seq u64  LE   WAL watermark, below
 //     file_count       u32  LE   entries that follow
-//     crc              u32  LE   masked CRC32C over the 36 bytes above
 //
-//   Entry (length-prefixed, CRC-framed like a WAL record), one per block
-//   file:
-//     length  u32 LE, crc u32 LE over (length bytes || payload)
-//     payload: file_id varint, file_bytes varint, block_count varint,
-//              then per block: offset varint (byte offset of the block's
-//              length prefix inside the file), then its BlockMeta
-//              (block_format.h varint layout)
+//   Entries: one frame (wal_format.h) per block file, payload <=
+//   kMaxEntryPayload bytes:
+//     file_id varint, file_bytes varint, block_count varint, then per
+//     block: offset varint (byte offset of the block's frame inside the
+//     file), then its BlockMeta (block_format.h varint layout)
 //
 // The watermark contract — the heart of crash consistency: every WAL
 // checkpoint with seq <= last_applied_seq is present in the referenced
@@ -50,6 +43,7 @@
 
 #include "common/status.h"
 #include "storage/block_format.h"
+#include "storage/file_io.h"
 #include "storage/wal_format.h"
 
 namespace bqs {
@@ -61,7 +55,6 @@ namespace manifestfmt {
 inline constexpr uint32_t kManifestMagic = 0x464d5142u;  // 'BQMF' LE
 inline constexpr uint16_t kManifestFormatVersion = 1;
 inline constexpr std::size_t kManifestHeaderBytes = 40;
-inline constexpr std::size_t kEntryHeaderBytes = 8;  // length + crc
 inline constexpr std::size_t kMaxEntryPayload = std::size_t{1} << 24;
 
 }  // namespace manifestfmt
@@ -108,10 +101,8 @@ bool DecodeManifest(std::span<const uint8_t> bytes, Manifest* out);
 // --- file naming ----------------------------------------------------------
 
 inline constexpr const char* kManifestName = "MANIFEST";
-inline constexpr const char* kManifestTempName = "MANIFEST.tmp";
 
-std::string BlockFileName(uint64_t file_id);      // "blk-%06llu.bqb"
-std::string BlockTempFileName(uint64_t file_id);  // "blk-%06llu.bqb.tmp"
+std::string BlockFileName(uint64_t file_id);  // "blk-%06llu.bqb"
 
 /// Parses "blk-NNNNNN.bqb" into its id; false for every other name.
 bool ParseBlockFileName(const std::string& name, uint64_t* file_id);
@@ -135,14 +126,10 @@ Status WriteManifest(const std::string& dir, const Manifest& manifest,
                      FaultInjector* injector = nullptr,
                      const std::function<Status()>& crash_point = {});
 
-/// Reads and decodes dir/MANIFEST. NotFound when the file does not exist,
-/// Corruption when it exists but fails DecodeManifest.
+/// Reads and decodes dir/MANIFEST. NotFound only when the file does not
+/// exist, IoError when it cannot be read (or is not a regular file),
+/// Corruption when it fails DecodeManifest.
 Status ReadManifest(const std::string& dir, Manifest* out);
-
-/// True when a status smells like disk-full: statuses minted by this
-/// layer's I/O prefix "ENOSPC" onto errno==ENOSPC failures and injected
-/// kEnospc firings alike.
-bool IsEnospc(const Status& status);
 
 }  // namespace bqs
 

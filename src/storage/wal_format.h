@@ -1,24 +1,17 @@
-// On-disk format of the key-point write-ahead log (storage/keypoint_wal.h).
+// On-disk format of the key-point write-ahead log (storage/keypoint_wal.h),
+// and the two pieces all three storage formats share: the frame and the
+// header stamp (both described below, beside their code).
 //
 // A WAL directory holds numbered segment files ("wal-000001.log", ...).
 // Each segment is:
 //
-//   SegmentHeader (36 bytes, fixed):
-//     magic         u32  LE   'BQWL'
-//     version       u16  LE   kWalFormatVersion
-//     flags         u16  LE   reserved, 0
-//     time_quantum  f64  LE   seconds per timestamp quantum
-//     coord_quantum f64  LE   metres per coordinate quantum
+//   SegmentHeader (36 bytes, fixed): a header stamp (magic 'BQWL',
+//     kWalFormatVersion) whose one field is
 //     first_seq     u64  LE   sequence of the first record appended here
-//     crc           u32  LE   masked CRC32C over the 32 bytes above
 //
-//   Record (length-prefixed, append-only):
-//     length  u32 LE   payload byte count (<= kMaxRecordPayload)
-//     crc     u32 LE   masked CRC32C over (length bytes || payload)
-//     payload          varint-coded checkpoint, below
-//
-//   Record payload — one checkpoint (the WAL's ack unit: a batch of key
-//   points one device session emitted):
+//   Records, append-only: one frame per record, payload <=
+//   kMaxRecordPayload bytes, holding one checkpoint (the WAL's ack unit: a
+//   batch of key points one device session emitted):
 //     device  varint
 //     seq     varint   writer-assigned, monotone across segments
 //     count   varint   number of points, >= 1
@@ -36,10 +29,6 @@
 //   * Delta + zigzag + varint makes consecutive key points cheap: a key
 //     point every few seconds and tens of metres encodes in 6-10 bytes
 //     against 32 raw.
-//   * The CRC covers the length prefix too, so a corrupted length cannot
-//     silently reframe the record stream; CRCs are stored masked
-//     (common/crc32c.h) so CRC-bearing payloads never checksum to
-//     themselves.
 //
 // Everything here is pure encode/decode over in-memory buffers — no file
 // I/O — so the recovery fuzzer and the crash-point sweep drive the exact
@@ -65,7 +54,6 @@ namespace wal {
 inline constexpr uint32_t kWalMagic = 0x4c575142u;  // 'BQWL' little-endian
 inline constexpr uint16_t kWalFormatVersion = 1;
 inline constexpr std::size_t kSegmentHeaderBytes = 36;
-inline constexpr std::size_t kRecordHeaderBytes = 8;  // length + crc
 /// Upper bound on one record payload; a decoded length above this is
 /// corruption by definition, which bounds how far a corrupt length can
 /// send the reader.
@@ -155,6 +143,13 @@ inline void PutU64(std::string* out, uint64_t v) {
   }
 }
 
+/// Overwrites the 4 bytes at `out[at]` with `v`, little-endian.
+inline void SetU32(std::string* out, std::size_t at, uint32_t v) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    (*out)[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
 inline void PutF64(std::string* out, double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, 8);
@@ -183,53 +178,173 @@ inline double GetF64(const uint8_t* p) {
   return v;
 }
 
-// --- segment header -------------------------------------------------------
+// --- frame ----------------------------------------------------------------
+//
+// A WAL record, a block of a block file (block_format.h) and an entry of
+// the MANIFEST (manifest.h) are each one frame:
+//
+//   length  u32 LE   payload byte count (<= the format's maximum)
+//   crc     u32 LE   masked CRC32C over (length bytes || payload)
+//   payload
+//
+// The CRC covers the length prefix too, so a corrupted length cannot
+// silently reframe the stream; CRCs are stored masked (common/crc32c.h) so
+// CRC-bearing payloads never checksum to themselves. The format's maximum
+// payload bounds how far a corrupt length can send a reader. CheckFrame
+// sorts a damaged frame into one failure class; what a class means is the
+// reader's policy: the WAL truncates a torn tail or skips a record
+// (keypoint_wal.h), a block read is Corruption (compaction.h), and the
+// MANIFEST is rejected whole (manifest.h).
 
-/// Appends a segment header for a segment whose first record will carry
-/// sequence `first_seq`.
-inline void EncodeSegmentHeader(const WalQuantization& quant,
-                                uint64_t first_seq, std::string* out) {
-  const std::size_t base = out->size();
-  PutU32(out, kWalMagic);
-  PutU16(out, kWalFormatVersion);
+inline constexpr std::size_t kFrameHeaderBytes = 8;  // length + crc
+
+/// Opens a frame at the end of `out` by reserving its header; returns the
+/// frame's offset for EndFrame. The caller appends the payload in between.
+inline std::size_t BeginFrame(std::string* out) {
+  const std::size_t at = out->size();
+  out->append(kFrameHeaderBytes, '\0');
+  return at;
+}
+
+/// Closes the frame opened at `at`: backfills the length and CRC of the
+/// payload appended since BeginFrame.
+inline void EndFrame(std::size_t at, std::string* out) {
+  const std::size_t len = out->size() - at - kFrameHeaderBytes;
+  SetU32(out, at, static_cast<uint32_t>(len));
+  const char* const p = out->data() + at;
+  const uint32_t crc = crc32c::Extend(crc32c::Value(p, 4),
+                                      p + kFrameHeaderBytes, len);
+  SetU32(out, at + 4, crc32c::Mask(crc));
+}
+
+enum class FrameStatus : uint8_t {
+  kOk,
+  kShortHeader,  ///< Fewer than kFrameHeaderBytes bytes left.
+  kBadLength,    ///< Length above the maximum or past the end of the bytes.
+  kBadCrc,       ///< Framing intact, CRC mismatch.
+};
+
+struct Frame {
+  FrameStatus status = FrameStatus::kOk;
+  std::span<const uint8_t> payload;  ///< Set for kOk and kBadCrc.
+
+  /// Bytes the frame spans, header included (kOk and kBadCrc).
+  std::size_t size() const { return kFrameHeaderBytes + payload.size(); }
+};
+
+/// Checks the frame at the start of `bytes`, whose payload may be at most
+/// `max_payload` bytes. Total on arbitrary bytes.
+inline Frame CheckFrame(std::span<const uint8_t> bytes,
+                        std::size_t max_payload) {
+  if (bytes.size() < kFrameHeaderBytes) {
+    return {FrameStatus::kShortHeader, {}};
+  }
+  const std::size_t len = GetU32(bytes.data());
+  if (len > max_payload || len > bytes.size() - kFrameHeaderBytes) {
+    return {FrameStatus::kBadLength, {}};
+  }
+  Frame frame{FrameStatus::kOk, bytes.subspan(kFrameHeaderBytes, len)};
+  const uint32_t crc = crc32c::Extend(crc32c::Value(bytes.data(), 4),
+                                      frame.payload.data(), len);
+  if (crc != crc32c::Unmask(GetU32(bytes.data() + 4))) {
+    frame.status = FrameStatus::kBadCrc;
+  }
+  return frame;
+}
+
+// --- header stamp ---------------------------------------------------------
+//
+// A WAL segment, a block file and the MANIFEST each open with a header
+// stamp:
+//
+//   magic         u32  LE   per format
+//   version       u16  LE   per format
+//   flags         u16  LE   reserved, 0
+//   time_quantum  f64  LE   seconds per timestamp quantum
+//   coord_quantum f64  LE   metres per coordinate quantum
+//   ...                     the format's own fixed-width fields
+//   crc           u32  LE   masked CRC32C over every header byte above
+//
+// A reader trusts a header only whole: long enough, right magic, CRC
+// match, a version it knows (1..current) and finite positive quanta.
+
+inline constexpr std::size_t kHeaderStampBytes = 24;  ///< magic..coord_quantum
+
+/// What every header stamp carries.
+struct HeaderStamp {
+  uint16_t version = 0;
+  WalQuantization quant;
+};
+
+/// Appends the stamp's leading fields; returns the header's offset for
+/// EndHeader. The caller appends the format's own fields in between.
+inline std::size_t BeginHeader(uint32_t magic, uint16_t version,
+                               const WalQuantization& quant,
+                               std::string* out) {
+  const std::size_t at = out->size();
+  PutU32(out, magic);
+  PutU16(out, version);
   PutU16(out, 0);  // flags
   PutF64(out, quant.time_quantum);
   PutF64(out, quant.coord_quantum);
-  PutU64(out, first_seq);
-  const uint32_t crc =
-      crc32c::Value(out->data() + base, kSegmentHeaderBytes - 4);
-  PutU32(out, crc32c::Mask(crc));
+  return at;
 }
 
-struct SegmentHeaderInfo {
-  uint16_t version = 0;
-  WalQuantization quant;
-  uint64_t first_seq = 0;
-};
+/// Appends the CRC over the header begun at `at`.
+inline void EndHeader(std::size_t at, std::string* out) {
+  PutU32(out, crc32c::Mask(crc32c::Value(out->data() + at, out->size() - at)));
+}
 
-/// Validates and decodes a segment header. False on short input, bad
-/// magic, bad CRC, an unknown (future) version, or non-finite/non-positive
-/// quanta — a header this reader cannot trust end to end.
-inline bool DecodeSegmentHeader(std::span<const uint8_t> bytes,
-                                SegmentHeaderInfo* info) {
-  if (bytes.size() < kSegmentHeaderBytes) return false;
+/// Checks the `header_bytes`-byte header at the start of `bytes` against
+/// `magic` and `max_version`. On success fills `*stamp` (and nothing past
+/// its HeaderStamp part); the format's own fields start at offset
+/// kHeaderStampBytes.
+inline bool CheckHeader(std::span<const uint8_t> bytes,
+                        std::size_t header_bytes, uint32_t magic,
+                        uint16_t max_version, HeaderStamp* stamp) {
+  if (bytes.size() < header_bytes) return false;
   const uint8_t* p = bytes.data();
-  if (GetU32(p) != kWalMagic) return false;
-  const uint32_t stored = crc32c::Unmask(GetU32(p + kSegmentHeaderBytes - 4));
-  if (crc32c::Value(p, kSegmentHeaderBytes - 4) != stored) return false;
-  SegmentHeaderInfo out;
+  if (GetU32(p) != magic) return false;
+  const uint32_t stored = crc32c::Unmask(GetU32(p + header_bytes - 4));
+  if (crc32c::Value(p, header_bytes - 4) != stored) return false;
+  HeaderStamp out;
   out.version = GetU16(p + 4);
-  if (out.version == 0 || out.version > kWalFormatVersion) return false;
   out.quant.time_quantum = GetF64(p + 8);
   out.quant.coord_quantum = GetF64(p + 16);
-  out.first_seq = GetU64(p + 24);
+  if (out.version == 0 || out.version > max_version) return false;
   if (!(std::isfinite(out.quant.time_quantum) &&
         out.quant.time_quantum > 0.0 &&
         std::isfinite(out.quant.coord_quantum) &&
         out.quant.coord_quantum > 0.0)) {
     return false;
   }
-  *info = out;
+  *stamp = out;
+  return true;
+}
+
+// --- segment header -------------------------------------------------------
+
+/// Appends a segment header for a segment whose first record will carry
+/// sequence `first_seq`.
+inline void EncodeSegmentHeader(const WalQuantization& quant,
+                                uint64_t first_seq, std::string* out) {
+  const std::size_t at = BeginHeader(kWalMagic, kWalFormatVersion, quant, out);
+  PutU64(out, first_seq);
+  EndHeader(at, out);
+}
+
+struct SegmentHeaderInfo : HeaderStamp {
+  uint64_t first_seq = 0;
+};
+
+/// Validates and decodes a segment header (CheckHeader's trust rules).
+inline bool DecodeSegmentHeader(std::span<const uint8_t> bytes,
+                                SegmentHeaderInfo* info) {
+  if (!CheckHeader(bytes, kSegmentHeaderBytes, kWalMagic, kWalFormatVersion,
+                   info)) {
+    return false;
+  }
+  info->first_seq = GetU64(bytes.data() + kHeaderStampBytes);
   return true;
 }
 
@@ -248,23 +363,22 @@ inline int64_t WrapAdd(int64_t a, int64_t b) {
                               static_cast<uint64_t>(b));
 }
 
-/// Appends the length-prefixed, CRC-stamped encoding of one checkpoint
-/// given as its parts (the writer's no-copy path). Precondition: `points`
-/// is non-empty.
+/// Appends the framed encoding of one checkpoint given as its parts (the
+/// writer's no-copy path). Precondition: `points` is non-empty.
 inline void EncodeRecord(DeviceId device, uint64_t seq,
                          std::span<const WalPoint> points, std::string* out) {
-  std::string payload;
-  varint::PutU64(&payload, device);
-  varint::PutU64(&payload, seq);
-  varint::PutU64(&payload, points.size());
+  const std::size_t frame = BeginFrame(out);
+  varint::PutU64(out, device);
+  varint::PutU64(out, seq);
+  varint::PutU64(out, points.size());
   WalPoint prev;
   bool first = true;
   for (const WalPoint& p : points) {
     if (first) {
-      varint::PutU64(&payload, p.index);
-      varint::PutI64(&payload, p.qt);
-      varint::PutI64(&payload, p.qx);
-      varint::PutI64(&payload, p.qy);
+      varint::PutU64(out, p.index);
+      varint::PutI64(out, p.qt);
+      varint::PutI64(out, p.qx);
+      varint::PutI64(out, p.qy);
       first = false;
     } else {
       // Index deltas are encoded zigzag too: stream indices are monotone
@@ -272,35 +386,27 @@ inline void EncodeRecord(DeviceId device, uint64_t seq,
       // computed in unsigned arithmetic so adversarial WalPoint values
       // (the round-trip fuzzer feeds raw int64 patterns) wrap instead of
       // overflowing; decode reverses with the same wrapping adds.
-      varint::PutI64(&payload,
-                     static_cast<int64_t>(p.index - prev.index));
-      varint::PutI64(&payload, WrapDiff(p.qt, prev.qt));
-      varint::PutI64(&payload, WrapDiff(p.qx, prev.qx));
-      varint::PutI64(&payload, WrapDiff(p.qy, prev.qy));
+      varint::PutI64(out, static_cast<int64_t>(p.index - prev.index));
+      varint::PutI64(out, WrapDiff(p.qt, prev.qt));
+      varint::PutI64(out, WrapDiff(p.qx, prev.qx));
+      varint::PutI64(out, WrapDiff(p.qy, prev.qy));
     }
     prev = p;
   }
-
-  std::string header;
-  PutU32(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = crc32c::Value(header.data(), 4);
-  crc = crc32c::Extend(crc, payload.data(), payload.size());
-  PutU32(&header, crc32c::Mask(crc));
-  out->append(header);
-  out->append(payload);
+  EndFrame(frame, out);
 }
 
-/// Appends the length-prefixed, CRC-stamped encoding of one checkpoint.
-/// Precondition: checkpoint.points is non-empty.
+/// Appends the framed encoding of one checkpoint. Precondition:
+/// checkpoint.points is non-empty.
 inline void EncodeRecord(const WalCheckpoint& checkpoint, std::string* out) {
   EncodeRecord(checkpoint.device, checkpoint.seq, checkpoint.points, out);
 }
 
-/// Decodes a record payload (the bytes after the 8-byte record header).
-/// False when the varint stream is truncated, malformed, or disagrees
-/// with its own point count — the payload passed its CRC, so a decode
-/// failure here means an encoder bug or a deliberately crafted record;
-/// either way the reader must reject it cleanly, never trust it.
+/// Decodes a record payload (a frame's payload). False when the varint
+/// stream is truncated, malformed, or disagrees with its own point count —
+/// the payload passed its CRC, so a decode failure here means an encoder
+/// bug or a deliberately crafted record; either way the reader must reject
+/// it cleanly, never trust it.
 inline bool DecodeRecordPayload(std::span<const uint8_t> payload,
                                 WalCheckpoint* out) {
   const uint8_t* p = payload.data();

@@ -43,8 +43,8 @@ std::vector<wal::WalCheckpoint> SampleRun() {
 
 std::span<const uint8_t> PayloadOf(const std::string& framed) {
   return {reinterpret_cast<const uint8_t*>(framed.data()) +
-              blk::kBlockHeaderBytes,
-          framed.size() - blk::kBlockHeaderBytes};
+              wal::kFrameHeaderBytes,
+          framed.size() - wal::kFrameHeaderBytes};
 }
 
 TEST(BlockFormatTest, ComputeBlockMeta) {
@@ -161,9 +161,7 @@ TEST(BlockFormatTest, LyingEmbeddedMetadataRejects) {
   // payload, find where the bbox ends, and reuse the suffix.
   std::string true_framed;
   blk::EncodeBlock(run, &true_framed);
-  const std::string true_payload(
-      true_framed.begin() + static_cast<std::ptrdiff_t>(blk::kBlockHeaderBytes),
-      true_framed.end());
+  const std::string true_payload(true_framed.substr(wal::kFrameHeaderBytes));
   // The true payload's prefix up to the bbox has the same length as ours
   // except the tampered varint may differ in size; rebuild instead: the
   // suffix after the 6 bbox varints is the column data.

@@ -207,7 +207,7 @@ TEST(CompactionTest, QuarantinesStaleTempAndOrphanBlocks) {
 
   std::filesystem::create_directories(block_dir);
   {
-    std::ofstream tmp(block_dir + "/" + BlockTempFileName(5),
+    std::ofstream tmp(block_dir + "/" + BlockFileName(5) + ".tmp",
                       std::ios::binary);
     tmp << "half-written block file";
     std::ofstream mtmp(block_dir + "/MANIFEST.tmp", std::ios::binary);
@@ -228,6 +228,35 @@ TEST(CompactionTest, QuarantinesStaleTempAndOrphanBlocks) {
   EXPECT_EQ(CountFiles(block_dir, ".tmp"), 0u);
   EXPECT_EQ(CountFiles(block_dir, ".bqb"), 1u);  // only the real one
   ExpectExactRecovery(wal_dir, block_dir, acked);
+}
+
+TEST(CompactionTest, UnreadableManifestDeletesNoBlockFile) {
+  // A MANIFEST that exists but cannot be read (a directory in its place)
+  // is not a fresh directory: the run must fail, and its cleanup must not
+  // take every block file for an orphan.
+  const std::string wal_dir = FreshDir("compact_unreadable_wal");
+  const std::string block_dir = FreshDir("compact_unreadable_blk");
+  BuildWal(wal_dir);
+  CompactionOptions options;
+  options.wal_dir = wal_dir;
+  options.block_dir = block_dir;
+  ASSERT_TRUE(Compactor(options).CompactOnce().ok());
+  const std::size_t blocks = CountFiles(block_dir, ".bqb");
+  ASSERT_GT(blocks, 0u);
+  std::filesystem::remove(block_dir + "/MANIFEST");
+  std::filesystem::create_directories(block_dir + "/MANIFEST");
+
+  BuildWal(wal_dir);  // fresh segments for the next run to drain
+  Compactor compactor(options);
+  const Status st = compactor.CompactOnce();
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.message();
+  EXPECT_EQ(CountFiles(block_dir, ".bqb"), blocks);
+  EXPECT_EQ(compactor.stats().orphan_blocks_removed, 0u);
+  EXPECT_EQ(compactor.stats().runs_failed, 1u);
+  EXPECT_EQ(RecoverStore(wal_dir, block_dir).status().code(),
+            StatusCode::kIoError);
+  EXPECT_EQ(BlockStore::Open(block_dir).status().code(),
+            StatusCode::kIoError);
 }
 
 TEST(CompactionTest, PersistentEnospcDegradesAndResetRecovers) {
@@ -362,11 +391,11 @@ TEST(CompactionTest, RecoveryWalksSkipOrStopAtDamagedBlocks) {
     if (truncate) {
       // Cut into the last block's payload: a short read, not a CRC miss.
       std::filesystem::resize_file(
-          path, file.blocks[1].offset + blk::kBlockHeaderBytes + 2);
+          path, file.blocks[1].offset + wal::kFrameHeaderBytes + 2);
     } else {
       std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
       const auto at = static_cast<std::streamoff>(file.blocks[0].offset +
-                                                  blk::kBlockHeaderBytes + 1);
+                                                  wal::kFrameHeaderBytes + 1);
       io.seekg(at);
       const char byte = static_cast<char>(io.get());
       io.seekp(at);
@@ -613,14 +642,14 @@ std::vector<KeyPoint> StoredInBlockOrder(const std::string& block_dir) {
     const std::string bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
     for (const ManifestBlockEntry& entry : file.blocks) {
-      EXPECT_LE(entry.offset + blk::kBlockHeaderBytes, bytes.size());
-      if (entry.offset + blk::kBlockHeaderBytes > bytes.size()) break;
+      EXPECT_LE(entry.offset + wal::kFrameHeaderBytes, bytes.size());
+      if (entry.offset + wal::kFrameHeaderBytes > bytes.size()) break;
       const uint8_t* const framed =
           reinterpret_cast<const uint8_t*>(bytes.data()) + entry.offset;
       blk::BlockMeta meta;
       std::vector<wal::WalCheckpoint> decoded;
       EXPECT_TRUE(blk::DecodeBlockPayload(
-          {framed + blk::kBlockHeaderBytes, wal::GetU32(framed)}, &meta,
+          {framed + wal::kFrameHeaderBytes, wal::GetU32(framed)}, &meta,
           &decoded));
       for (const wal::WalCheckpoint& c : decoded) {
         for (const wal::WalPoint& p : c.points) {
@@ -1139,7 +1168,7 @@ TEST(BlockStoreTest, CorruptBlockFailsEveryQueryThatTouchesIt) {
                    std::ios::binary | std::ios::in | std::ios::out);
     ASSERT_TRUE(f.good());
     const auto at = static_cast<std::streamoff>(victim->offset +
-                                                blk::kBlockHeaderBytes + 3);
+                                                wal::kFrameHeaderBytes + 3);
     char byte = 0;
     f.seekg(at);
     ASSERT_TRUE(f.read(&byte, 1));

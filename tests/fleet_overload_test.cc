@@ -10,8 +10,10 @@
 #include "service/fleet_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <mutex>
+#include <set>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -200,14 +202,16 @@ TEST(FleetOverloadTest, ShedByDeviceRateLimitsHotDeviceNotColdDevice) {
       << "compaction found an over-rate device, so no block shed whole";
   EXPECT_EQ(stats.records_ingested + stats.records_shed, feed.size());
   // The schedule is deterministic: kRingFull fires on the first six seals
-  // whatever the threads do, the 21 blocks fit the 64-deep rings, and with
-  // no latency budget nothing waits on the clock. So the shed accounting
-  // and the hot device's output are pinned exactly: the token buckets
-  // shed the hot device's first 83 records, and what survived of its
-  // straight-line stream compresses to its first and last survivors.
-  EXPECT_EQ(stats.records_shed, 83u);
-  EXPECT_EQ(stats.shed_rate_limited, 83u);
-  EXPECT_EQ(stats.records_ingested, 322u);
+  // whatever the threads do, the blocks fit the 64-deep rings, and with no
+  // latency budget nothing waits on the clock. So the shed accounting and
+  // the hot device's output are pinned exactly: the token buckets shed 31
+  // of the hot device's records, none of them its first (the first
+  // compaction kept those, and no later one charges them again), and what
+  // survived of its straight-line stream compresses to its first and last
+  // records.
+  EXPECT_EQ(stats.records_shed, 31u);
+  EXPECT_EQ(stats.shed_rate_limited, 31u);
+  EXPECT_EQ(stats.records_ingested, 374u);
 
   // The cold device never exceeded its rate: nothing of its stream was
   // shed, so its compressed output matches the sequential reference.
@@ -216,9 +220,71 @@ TEST(FleetOverloadTest, ShedByDeviceRateLimitsHotDeviceNotColdDevice) {
   EXPECT_EQ(keys.at(kCold),
             ReferenceKeys(ConfigFor(AlgorithmId::kBqs), cold_stream));
   ASSERT_TRUE(keys.contains(kHot));
-  EXPECT_EQ(keys.at(kHot), (std::vector<KeyPoint>{KeyPoint{hot_stream[83], 0},
+  EXPECT_EQ(keys.at(kHot), (std::vector<KeyPoint>{KeyPoint{hot_stream[0], 0},
                                                   KeyPoint{hot_stream[399],
-                                                           316}}));
+                                                           368}}));
+}
+
+/// Feeds 400 records of one device at 100 records/s against a 5/s
+/// admission rate under kShedByDevice, with the ring forced full on the
+/// first `ring_full_seals` seals, and returns the stream positions of the
+/// records that were ingested. The points lie on a circle of 1000 km
+/// radius, 0.01 rad apart, so any ingested point lies at least 50 m off
+/// the chord of its neighbours: every one is a key point, whatever was
+/// shed around it.
+std::set<std::size_t> IngestedOnCircle(uint64_t ring_full_seals,
+                                       FleetStats* stats) {
+  Trajectory stream;
+  for (int i = 0; i < 400; ++i) {
+    const double angle = i * 0.01;
+    stream.push_back(TrackPoint{
+        {1e6 * std::cos(angle), 1e6 * std::sin(angle)}, i * 0.01});
+  }
+  FaultInjector injector(77);
+  injector.Arm(FaultSite::kRingFull, 1.0, ring_full_seals);
+  CollectingSink sink;
+  FleetEngineOptions options;
+  options.algorithm = ConfigFor(AlgorithmId::kBqs);
+  options.num_shards = 2;
+  options.block_capacity = 16;
+  options.overload.policy = OverloadPolicy::kShedByDevice;
+  options.overload.device_rate_per_second = 5.0;
+  options.fault_injector = &injector;
+  FleetEngine engine(options, sink);
+  engine.IngestBatch(ToFeed(1, stream));
+  engine.FinishAll();
+  *stats = engine.Stats();
+  const auto keys = sink.keys();
+  std::set<std::size_t> ingested;
+  for (const KeyPoint& key : keys.at(1)) {
+    ingested.insert(static_cast<std::size_t>(std::lround(key.point.t * 100)));
+  }
+  EXPECT_EQ(ingested.size(), stats->records_ingested);
+  return ingested;
+}
+
+TEST(FleetOverloadTest, ShedByDeviceNeverShedsWhatACompactionKept) {
+  // One forced-full seal: one compaction of the first 16-record block,
+  // whose survivors are the records it kept.
+  FleetStats one;
+  const std::set<std::size_t> after_one = IngestedOnCircle(1, &one);
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < 16; ++i) {
+    if (after_one.contains(i)) kept.push_back(i);
+  }
+  ASSERT_FALSE(kept.empty());
+  ASSERT_LT(kept.size(), 16u) << "the first compaction shed nothing";
+
+  // Five more forced-full seals compact the same tail slot again, each
+  // over the records appended since: they shed more, but never a record
+  // the first compaction kept.
+  FleetStats six;
+  const std::set<std::size_t> after_six = IngestedOnCircle(6, &six);
+  EXPECT_GT(six.shed_rate_limited, one.shed_rate_limited);
+  EXPECT_EQ(six.shed_rate_limited, six.records_shed);
+  for (const std::size_t i : kept) {
+    EXPECT_TRUE(after_six.contains(i)) << "record " << i << " shed again";
+  }
 }
 
 TEST(FleetOverloadTest, LatencyBudgetBoundsIngestWhenWorkerStalls) {

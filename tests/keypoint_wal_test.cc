@@ -231,6 +231,42 @@ TEST(KeyPointWalTest, RecoverOnMissingDirectoryIsNotFound) {
   EXPECT_EQ(recovered.status().code(), StatusCode::kNotFound);
 }
 
+TEST(KeyPointWalTest, RecoverSkipsADirectoryNamedLikeASegment) {
+  KeyPointWalOptions options;
+  options.dir = FreshDir("wal_dir_entry");
+  {
+    KeyPointWal wal(options);
+    ASSERT_TRUE(wal.Open().ok());
+    for (int c = 0; c < 3; ++c) {
+      ASSERT_TRUE(
+          wal.Append(7, MakeKeys(static_cast<uint64_t>(c) * 10, 3, 100.0 * c))
+              .ok());
+    }
+    ASSERT_TRUE(wal.Close().ok());
+  }
+  // A segment name on a directory cannot be read as a segment: it is
+  // reported as ignored, and recovery replays the real segment cleanly.
+  const std::string stray = options.dir + "/wal-000009.log";
+  std::filesystem::create_directories(stray);
+  std::vector<std::string> ignored;
+  const auto listed = ListWalSegments(options.dir, &ignored);
+  ASSERT_TRUE(listed.ok());
+  ASSERT_EQ(listed.value().size(), 1u);
+  EXPECT_EQ(listed.value()[0].index, 1u);
+  EXPECT_EQ(ignored, std::vector<std::string>{stray});
+
+  const auto recovered = WalReader::Recover(options.dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_TRUE(recovered.value().report.clean());
+  EXPECT_EQ(recovered.value().checkpoints.size(), 3u);
+
+  // A writer reopening the directory numbers its segment past the taken
+  // name rather than colliding with it later.
+  KeyPointWal reopened(options);
+  ASSERT_TRUE(reopened.Open(recovered.value().next_seq).ok());
+  EXPECT_EQ(reopened.current_segment_index(), 10u);
+}
+
 TEST(KeyPointWalTest, EmptyLogRecoversClean) {
   KeyPointWalOptions options;
   options.dir = FreshDir("wal_empty");
@@ -296,7 +332,7 @@ TEST(WalRecoverSegmentTest, CleanImageReplaysEverything) {
 TEST(WalRecoverSegmentTest, FlippedByteInClosedSegmentSkipsOneRecord) {
   Image image = BuildImage(3);
   // Flip a payload byte of the middle record.
-  const std::size_t victim = image.record_ends[0] + wal::kRecordHeaderBytes + 2;
+  const std::size_t victim = image.record_ends[0] + wal::kFrameHeaderBytes + 2;
   image.bytes[victim] = static_cast<char>(image.bytes[victim] ^ 0x40);
 
   std::vector<wal::WalCheckpoint> out;
@@ -314,7 +350,7 @@ TEST(WalRecoverSegmentTest, FlippedByteInClosedSegmentSkipsOneRecord) {
 
 TEST(WalRecoverSegmentTest, FlippedByteInLastSegmentTruncates) {
   Image image = BuildImage(3);
-  const std::size_t victim = image.record_ends[0] + wal::kRecordHeaderBytes + 2;
+  const std::size_t victim = image.record_ends[0] + wal::kFrameHeaderBytes + 2;
   image.bytes[victim] = static_cast<char>(image.bytes[victim] ^ 0x40);
 
   std::vector<wal::WalCheckpoint> out;

@@ -104,7 +104,6 @@ TEST(ManifestCodecTest, EveryByteFlipRejects) {
 
 TEST(ManifestCodecTest, BlockFileNaming) {
   EXPECT_EQ(BlockFileName(1), "blk-000001.bqb");
-  EXPECT_EQ(BlockTempFileName(1), "blk-000001.bqb.tmp");
   uint64_t id = 0;
   EXPECT_TRUE(ParseBlockFileName("blk-000042.bqb", &id));
   EXPECT_EQ(id, 42u);
@@ -145,6 +144,15 @@ TEST(ManifestIoTest, CorruptManifestReadsAsCorruption) {
   }
   Manifest m;
   EXPECT_EQ(ReadManifest(dir, &m).code(), StatusCode::kCorruption);
+}
+
+TEST(ManifestIoTest, UnreadableManifestIsIoErrorNotNotFound) {
+  // Only a missing file is NotFound (a fresh directory to the compactor);
+  // a MANIFEST that is there but cannot be read is an I/O failure.
+  const std::string dir = FreshDir("manifest_unreadable");
+  std::filesystem::create_directories(dir + "/MANIFEST");
+  Manifest m;
+  EXPECT_EQ(ReadManifest(dir, &m).code(), StatusCode::kIoError);
 }
 
 TEST(ManifestIoTest, InjectedEnospcClassifies) {

@@ -142,7 +142,7 @@ void CheckRecoveryAtCut(const std::string& dir, std::size_t c,
   const std::size_t rem = c - edge;
   if (rem == 0) {
     EXPECT_TRUE(r.report.clean()) << "cut " << c;
-  } else if (rem < wal::kRecordHeaderBytes) {
+  } else if (rem < wal::kFrameHeaderBytes) {
     EXPECT_EQ(r.report.short_header, 1u) << "cut " << c;
     EXPECT_EQ(r.report.torn_tail, 0u) << "cut " << c;
   } else {
@@ -328,7 +328,7 @@ TEST(WalCrashSweepInjectedTest, TornWriteParamSweepMatchesByteTruncation) {
     } else if (cut == 0) {
       EXPECT_TRUE(r.report.clean()) << "cut " << cut;
       EXPECT_EQ(r.report.bytes_dropped, 0u);
-    } else if (cut < wal::kRecordHeaderBytes) {
+    } else if (cut < wal::kFrameHeaderBytes) {
       EXPECT_EQ(r.report.short_header, 1u) << "cut " << cut;
       EXPECT_EQ(r.report.bytes_dropped, cut) << "cut " << cut;
     } else {
